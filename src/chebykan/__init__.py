@@ -7,17 +7,15 @@ reproduces the digit-classification, function-approximation, fractal-surface,
 and ablation studies at desk scale.
 """
 
-from .chebyshev import (BasisTensor, PolyKind, eval_basis, eval_basis_batch,
-                        eval_basis_derivative, extrema, gauss_chebyshev,
-                        orthogonality_integral, roots)
+from .chebyshev import (PolyKind, eval_basis, eval_basis_derivative, extrema,
+                        gauss_chebyshev, orthogonality_integral, roots)
 from .data import (Dataset, FractalParams, IdxFormatError, NormScheme,
                    NormStats, apply_norm, fractal_grid, fractal_seed,
                    load_mnist_idx, read_idx, sample_function, write_idx)
 from .experiments import (DivergenceError, RunRecord, TrainConfig, evaluate,
                           grad_check, run_ablation, train)
-from .layers import (ChebyKanLayer, DenseLayer, InitMethod, LayerNorm,
-                     init_coeffs)
-from .ndcore import Rng, ShapeError, real_dtype, set_real_dtype
+from .layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
+from .ndcore import Rng, ShapeError
 from .network import (MNIST_WIDTHS, ArchSpec, Sequential, build, load_network,
                       mnist_arch, param_count, save_network)
 from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
@@ -25,15 +23,14 @@ from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ArchSpec", "BasisTensor", "ChebyKanLayer", "Dataset",
-    "DenseLayer", "DivergenceError", "FractalParams", "IdxFormatError",
-    "InitMethod", "LayerNorm", "MNIST_WIDTHS", "NormScheme", "NormStats",
-    "PolyKind", "Rng", "RunRecord", "Sequential", "Sgd", "ShapeError",
-    "TrainConfig", "apply_norm", "build", "eval_basis", "eval_basis_batch",
-    "eval_basis_derivative", "evaluate", "extrema", "fractal_grid",
-    "fractal_seed", "gauss_chebyshev", "grad_check", "init_coeffs",
-    "load_mnist_idx", "load_network", "mnist_arch", "mse_loss",
-    "orthogonality_integral", "param_count", "read_idx", "real_dtype",
-    "roots", "run_ablation", "sample_function", "save_network",
-    "set_real_dtype", "softmax_cross_entropy", "train", "write_idx",
+    "Adam", "ArchSpec", "ChebyKanLayer", "Dataset", "DivergenceError",
+    "FractalParams", "IdxFormatError", "InitMethod", "LayerNorm",
+    "MNIST_WIDTHS", "NormScheme", "NormStats", "PolyKind", "Rng", "RunRecord",
+    "Sequential", "Sgd", "ShapeError", "TrainConfig", "apply_norm", "build",
+    "eval_basis", "eval_basis_derivative", "evaluate", "extrema",
+    "fractal_grid", "fractal_seed", "gauss_chebyshev", "grad_check",
+    "init_coeffs", "load_mnist_idx", "load_network", "mnist_arch", "mse_loss",
+    "orthogonality_integral", "param_count", "read_idx", "roots",
+    "run_ablation", "sample_function", "save_network",
+    "softmax_cross_entropy", "train", "write_idx",
 ]

@@ -15,12 +15,9 @@ U_n(cos t) = sin((n+1) t) / sin t, roots of T_n at cos((2k+1)pi/(2n)), and
 extrema of T_n at cos(k pi / n) where it alternates between +1 and -1.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from . import ndcore
 
 
 class PolyKind(Enum):
@@ -28,18 +25,13 @@ class PolyKind(Enum):
     SECOND = "second"
 
 
-@dataclass
-class BasisTensor:
-    """Per-sample, per-feature polynomial values: values[b, i, k] = P_k(x[b, i])."""
-
-    values: np.ndarray  # [batch, in, degree + 1]
-    degree: int
-    kind: PolyKind
-
-
 def _basis_stack(x, degree, kind):
-    """P_0..P_degree of every element of x, stacked along a new last axis."""
-    x = np.asarray(x, dtype=ndcore.real_dtype())
+    """P_0..P_degree of every element of x, stacked along a new last axis.
+
+    The stack has x's dtype: a Python float or a float64 array gives float64,
+    a float32 array float32.
+    """
+    x = np.asarray(x)
     out = np.empty(x.shape + (degree + 1,), dtype=x.dtype)
     out[..., 0] = 1.0
     if degree >= 1:
@@ -57,7 +49,7 @@ def _derivative_stack(x, degree, kind):
     U'_0 = 0, U'_1 = 2, which stays finite at x = +/-1 where the closed form
     has a 1/(1 - x^2) singularity.
     """
-    x = np.asarray(x, dtype=ndcore.real_dtype())
+    x = np.asarray(x)
     out = np.zeros(x.shape + (degree + 1,), dtype=x.dtype)
     if degree == 0:
         return out
@@ -78,16 +70,6 @@ def eval_basis(x, degree, kind=PolyKind.FIRST):
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     return _basis_stack(float(x), degree, kind)
-
-
-def eval_basis_batch(x, degree, kind=PolyKind.FIRST):
-    """Basis values of a [batch, in] matrix as a [batch, in, degree+1] tensor."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    x = ndcore.as_mat(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("basis input must be finite")
-    return BasisTensor(values=_basis_stack(x, degree, kind), degree=degree, kind=kind)
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ndcore
 from .chebyshev import PolyKind
 from .data import (TARGETS, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
                    TRAIN_LABELS, Dataset, FractalParams, IdxFormatError,
@@ -274,6 +273,8 @@ def _train_config(resolved):
         kwargs["kind"] = PolyKind(resolved["kind"])
     if "widths" in resolved:
         kwargs["widths"] = list(resolved["widths"])
+    if resolved.get("f32"):
+        kwargs["dtype"] = np.float32
     return TrainConfig(**kwargs)
 
 
@@ -316,7 +317,7 @@ def cmd_mnist(resolved, comments):
     scheme = NormScheme(resolved["norm"])
     tr = apply_norm(train_raw, scheme)
     te = apply_norm(test_raw, scheme, stats=tr.norm)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     record = train(model, tr, te, cfg)
     write_run_csv(record, resolved["out"], comments=comments)
     print(f"final test accuracy: {record.final_metric!r}")
@@ -338,7 +339,7 @@ def cmd_approx(resolved, comments):
     # one optimizer step per epoch at minimum, so `steps` epochs always suffice
     cfg.epochs = resolved["steps"]
     cfg.max_steps = resolved["steps"]
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     record = train(model, train_ds, test_ds, cfg)
 
     order = np.argsort(test_ds.features[:, 0])
@@ -372,7 +373,7 @@ def cmd_fractal(resolved, comments):
     except ValueError as e:
         raise UsageError(str(e))
     cfg = _train_config(resolved)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     initial_mse = evaluate(model, ds, "regress")
     record = train(model, ds, ds, cfg)
     final_mse = record.rows[-1].test_loss
@@ -463,13 +464,7 @@ def main(argv=None):
         helptext, opts, handler = COMMANDS[args.command]
         resolved = resolve(args.command, opts, args)
         comments = config_lines(args.command, opts, resolved)
-        prev_dtype = ndcore.real_dtype()
-        try:
-            if resolved.get("f32"):
-                ndcore.set_real_dtype(np.float32)
-            return handler(resolved, comments)
-        finally:
-            ndcore.set_real_dtype(prev_dtype)
+        return handler(resolved, comments)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

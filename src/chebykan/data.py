@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ndcore
 from .ndcore import Rng
 
 IMAGES_MAGIC = 0x00000803
@@ -109,11 +108,13 @@ def load_mnist_idx(images_path, labels_path):
     """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10)."""
     images = read_idx(images_path, expected_magic=IMAGES_MAGIC)
     labels = read_idx(labels_path, expected_magic=LABELS_MAGIC)
+    if images.shape[0] == 0:
+        raise IdxFormatError(f"{images_path}: holds no images")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    feats = images.reshape(images.shape[0], -1).astype(ndcore.real_dtype()) / 255.0
+    feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     labs = labels.astype(np.int64)
     if labs.size and labs.max() > 9:
         raise IdxFormatError(f"{labels_path}: label {labs.max()} outside [0, 10)")
@@ -147,7 +148,7 @@ def apply_norm(ds, scheme, stats=None):
         out = (f - stats.mean) / (stats.std + 1e-8)
     else:
         raise ValueError(f"unknown normalization scheme: {scheme}")
-    return Dataset(features=out.astype(ndcore.real_dtype(), copy=False),
+    return Dataset(features=out.astype(np.float64, copy=False),
                    targets=ds.targets, labels=ds.labels, norm=stats)
 
 
@@ -223,8 +224,8 @@ def fractal_grid(params):
     for i in range(1, params.iters + 1):
         noise = Rng(params.seed, f"fractal-noise/{i}").normal(0.0, 1.0, z.shape)
         z = z + params.alpha * params.b * noise
-    feats = np.column_stack([gx.ravel(), gy.ravel()]).astype(ndcore.real_dtype())
-    return Dataset(features=feats, targets=z.reshape(-1, 1).astype(ndcore.real_dtype()))
+    feats = np.column_stack([gx.ravel(), gy.ravel()])
+    return Dataset(features=feats, targets=z.reshape(-1, 1))
 
 
 def dump_grid(ds, path, header_comments=()):

@@ -15,7 +15,7 @@ import numpy as np
 from . import network
 from .chebyshev import PolyKind
 from .data import Dataset, NormScheme, apply_norm, sample_function
-from .layers import ChebyKanLayer, DenseLayer, InitMethod, LayerNorm
+from .layers import ChebyKanLayer, InitMethod, LayerNorm
 from .ndcore import Rng
 from .network import ArchSpec, build
 from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
@@ -54,10 +54,13 @@ class TrainConfig:
     layernorm: bool = True
     momentum: float = 0.9  # sgd only
     max_steps: int = None  # optional hard cap on optimizer steps
+    dtype: type = np.float64  # model precision, passed to network.build
 
     def validate(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -133,24 +136,28 @@ def train(model, train_ds, test_ds, cfg):
 
     Shuffle order comes from the (seed, "train/shuffle") substream, so a rerun
     with the same config reproduces the trajectory exactly. A non-finite batch
-    loss aborts with the offending epoch/batch named. epochs=0 just evaluates
-    the initialized model (a single epoch-0 row).
+    loss aborts with the offending epoch/batch named. epochs=0 or max_steps=0
+    just evaluates the initialized model (a single epoch-0 row). An empty
+    train or test split raises ValueError.
     """
     cfg.validate()
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        if len(ds) == 0:
+            raise ValueError(f"the {split} dataset is empty")
     task = "classify" if train_ds.labels is not None else "regress"
     rng = Rng(cfg.seed, "train/shuffle")
     opt = _make_optimizer(cfg)
-    params = model.params()
     t0 = time.perf_counter()
     rows = []
-    if cfg.epochs == 0:
+    epochs = 0 if cfg.max_steps == 0 else cfg.epochs
+    if epochs == 0:
         train_loss, _ = _loss_and_metric(model, train_ds, task)
         test_loss, metric = _loss_and_metric(model, test_ds, task)
         rows.append(EpochRow(0, train_loss, test_loss, metric))
     n = len(train_ds)
     step = 0
     stop_early = False
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
@@ -165,7 +172,7 @@ def train(model, train_ds, test_ds, cfg):
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
                 )
             model.backward(dLdy)
-            opt.step(params, model.grads())
+            opt.step(model.flat_params, model.flat_grads)
             loss_sum += loss * len(idx)
             step += 1
             if cfg.max_steps is not None and step >= cfg.max_steps:
@@ -206,9 +213,6 @@ def _forward_hp(model, x):
             var = np.mean((h - mean) ** 2, axis=1, keepdims=True)
             xhat = (h - mean) / np.sqrt(var + layer.eps)
             h = layer.gamma.astype(np.longdouble) * xhat + layer.beta.astype(np.longdouble)
-        elif isinstance(layer, DenseLayer):
-            z = h @ layer.W.astype(np.longdouble) + layer.b.astype(np.longdouble)
-            h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         else:
             raise TypeError(f"no high-precision forward for {type(layer).__name__}")
     return h
@@ -218,14 +222,14 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
     """Worst finite-difference relative error over random small networks.
 
     Each trial draws widths (2-3 layers, 1-4 units), degree 0-6, either
-    polynomial kind, and LayerNorm on/off, then perturbs every parameter and
-    every input coordinate by +/-h around a weighted sum-of-squares loss,
-    differencing the independent `_forward_hp` oracle. Relative error is
-    |analytic - numeric| / max(1e-12, |numeric|); the denominator uses the
-    actually-stored step (old+h) - (old-h), exact in float64, so step
-    representation error drops out. Degree-0 networks have identically zero
-    input gradients, which is asserted exactly instead of being
-    finite-differenced. ``corrupt=True`` flips the sign of the largest
+    polynomial kind, and LayerNorm on/off, then perturbs every entry of the
+    parameter vector and every input coordinate by +/-h around a weighted
+    sum-of-squares loss, differencing the independent `_forward_hp` oracle.
+    Relative error is |analytic - numeric| / max(1e-12, |numeric|); the
+    denominator uses the actually-stored step (old+h) - (old-h), exact in
+    float64, so step representation error drops out. Degree-0 networks have
+    identically zero input gradients, which is asserted exactly instead of
+    being finite-differenced. ``corrupt=True`` flips the sign of the largest
     analytic gradient entry — a self-test that the harness does flag a broken
     backward pass.
     """
@@ -249,16 +253,11 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
         model.train()
         y = model.forward(x)
         dLdx = model.backward(2.0 * w * y)
-        analytic = [g.copy() for g in model.grads()]
+        analytic = model.flat_grads.copy()
 
         if corrupt:
-            flat_all = np.concatenate([g.ravel() for g in analytic])
-            k = int(np.argmax(np.abs(flat_all)))
-            for g in analytic:
-                if k < g.size:
-                    g.flat[k] = -g.flat[k]
-                    break
-                k -= g.size
+            k = int(np.argmax(np.abs(analytic)))
+            analytic[k] = -analytic[k]
 
         def loss_hp(xin):
             out = _forward_hp(model, xin)
@@ -275,11 +274,10 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
             arr.flat[i] = old
             return float((lp - lm) / np.longdouble(up - down))
 
-        for p, ga in zip(model.params(), analytic):
-            for i in range(p.size):
-                num = fd(p, i, x)
-                rel = abs(ga.flat[i] - num) / max(1e-12, abs(num))
-                worst = max(worst, rel)
+        for i in range(analytic.size):
+            num = fd(model.flat_params, i, x)
+            rel = abs(analytic[i] - num) / max(1e-12, abs(num))
+            worst = max(worst, rel)
 
         if degree == 0:
             worst = max(worst, float(np.max(np.abs(dLdx), initial=0.0)))
@@ -310,11 +308,11 @@ def _run_classifier(cfg, train_raw, test_raw):
     """Normalize (train stats reused for test), build, train; returns the record."""
     tr = apply_norm(train_raw, cfg.norm)
     te = apply_norm(test_raw, cfg.norm, stats=tr.norm)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     return train(model, tr, te, cfg)
 
 
-def _run_kind_function(kind, seed):
+def _run_kind_function(kind, seed, dtype):
     """Function-approximation MSE for one polynomial kind (fixed small recipe)."""
     rec = KIND_FUNCTION_RECIPE
     rng = Rng(seed, "kind-function")
@@ -324,8 +322,8 @@ def _run_kind_function(kind, seed):
                               rng.substream("test"))
     cfg = TrainConfig(epochs=10 ** 9, batch_size=64, lr=rec["lr"], seed=seed,
                       degree=rec["degree"], kind=kind, widths=list(rec["widths"]),
-                      max_steps=rec["steps"])
-    model = build(cfg.arch(), cfg.init, Rng(seed, "init"))
+                      max_steps=rec["steps"], dtype=dtype)
+    model = build(cfg.arch(), cfg.init, Rng(seed, "init"), dtype)
     return train(model, train_ds, test_ds, cfg)
 
 
@@ -356,7 +354,7 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
         rec = _run_classifier(cfg, train_raw, test_raw)
         wall = rec.wall_time_s
         if axis == "kind":
-            func_rec = _run_kind_function(cfg.kind, cfg.seed)
+            func_rec = _run_kind_function(cfg.kind, cfg.seed, cfg.dtype)
             test_loss = func_rec.final_metric
             wall += func_rec.wall_time_s
         else:

@@ -1,10 +1,13 @@
-"""Trainable layers: the Chebyshev KAN layer, LayerNorm, and a dense baseline.
+"""Trainable layers: the Chebyshev KAN layer and LayerNorm.
 
 Every layer follows the same protocol: ``forward(x)`` caches whatever the
 matching ``backward(dLdy)`` needs (only while ``training`` is True, so
 inference on a frozen layer never mutates it), ``backward`` overwrites the
-parameter gradients fresh and returns dL/dx. ``params()`` and ``grads()``
-expose tensors in declaration order.
+parameter gradients fresh and returns dL/dx. ``param_names`` lists the
+parameter attributes in declaration order; the gradient of ``name`` lives in
+``grad_<name>``. Parameters are created in the ``dtype`` given to the
+constructor, and ``forward``/``backward`` coerce their input to it, so
+activations and gradients follow the parameters' precision.
 """
 
 import math
@@ -37,7 +40,9 @@ class ChebyKanLayer:
     force triple loop.
     """
 
-    def __init__(self, input_dim, output_dim, degree, kind=PolyKind.FIRST):
+    param_names = ("coeffs",)
+
+    def __init__(self, input_dim, output_dim, degree, kind=PolyKind.FIRST, dtype=np.float64):
         if input_dim < 1 or output_dim < 1:
             raise ValueError(f"dims must be >= 1, got {input_dim}x{output_dim}")
         if degree < 0:
@@ -46,14 +51,10 @@ class ChebyKanLayer:
         self.output_dim = output_dim
         self.degree = degree
         self.kind = kind
-        self.coeffs = ndcore.zeros((input_dim, output_dim, degree + 1))
+        self.coeffs = np.zeros((input_dim, output_dim, degree + 1), dtype=dtype)
         self.grad_coeffs = np.zeros_like(self.coeffs)
         self.training = True
         self._cache = None
-
-    @property
-    def param_count(self):
-        return self.coeffs.size
 
     def _coeffs_as_matrix(self):
         # [i, o, j] -> [i*(n+1)+j, o] so the contraction is a single matmul
@@ -61,7 +62,7 @@ class ChebyKanLayer:
         return self.coeffs.transpose(0, 2, 1).reshape(self.input_dim * n1, self.output_dim)
 
     def forward(self, x):
-        x = ndcore.as_mat(x)
+        x = ndcore.as_mat(x, self.coeffs.dtype)
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"expected input width {self.input_dim}, got {x.shape[1]}")
         xt = np.tanh(x)
@@ -75,7 +76,7 @@ class ChebyKanLayer:
     def backward(self, dLdy):
         if self._cache is None:
             raise RuntimeError("backward called before forward (or layer is in eval mode)")
-        dLdy = ndcore.as_mat(dLdy)
+        dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype)
         x, xt, t = self._cache
         batch = x.shape[0]
         if dLdy.shape != (batch, self.output_dim):
@@ -92,12 +93,6 @@ class ChebyKanLayer:
         gb = (dLdy @ self._coeffs_as_matrix().T).reshape(batch, self.input_dim, n1)
         dLdxt = np.sum(gb * db, axis=2)
         return dLdxt * (1.0 - xt * xt)
-
-    def params(self):
-        return [self.coeffs]
-
-    def grads(self):
-        return [self.grad_coeffs]
 
 
 def init_coeffs(layer, method, rng):
@@ -146,24 +141,22 @@ class LayerNorm:
     output is exactly beta.
     """
 
-    def __init__(self, dim, eps=1e-5):
+    param_names = ("gamma", "beta")
+
+    def __init__(self, dim, eps=1e-5, dtype=np.float64):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.eps = eps
-        self.gamma = ndcore.ones(dim)
-        self.beta = ndcore.zeros(dim)
+        self.gamma = np.ones(dim, dtype=dtype)
+        self.beta = np.zeros(dim, dtype=dtype)
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)
         self.training = True
         self._cache = None
 
-    @property
-    def param_count(self):
-        return 2 * self.dim
-
     def forward(self, x):
-        x = ndcore.as_mat(x)
+        x = ndcore.as_mat(x, self.gamma.dtype)
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected input width {self.dim}, got {x.shape[1]}")
         mu = x.mean(axis=1, keepdims=True)
@@ -177,7 +170,7 @@ class LayerNorm:
     def backward(self, dLdy):
         if self._cache is None:
             raise RuntimeError("backward called before forward (or layer is in eval mode)")
-        dLdy = ndcore.as_mat(dLdy)
+        dLdy = ndcore.as_mat(dLdy, self.gamma.dtype)
         xhat, inv = self._cache
         if dLdy.shape != xhat.shape:
             raise ShapeError(f"expected cotangent shape {xhat.shape}, got {dLdy.shape}")
@@ -190,72 +183,3 @@ class LayerNorm:
             - dxhat.sum(axis=1, keepdims=True)
             - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
         )
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def grads(self):
-        return [self.grad_gamma, self.grad_beta]
-
-
-class DenseLayer:
-    """Fixed-activation baseline: y = act(x W + b), act in {"relu", "none"}.
-
-    The ReLU subgradient at 0 is defined as 0 so backward is deterministic.
-    """
-
-    def __init__(self, input_dim, output_dim, activation="relu"):
-        if activation not in ("relu", "none"):
-            raise ValueError(f"activation must be 'relu' or 'none', got {activation!r}")
-        self.input_dim = input_dim
-        self.output_dim = output_dim
-        self.activation = activation
-        self.W = ndcore.zeros((input_dim, output_dim))
-        self.b = ndcore.zeros(output_dim)
-        self.grad_W = np.zeros_like(self.W)
-        self.grad_b = np.zeros_like(self.b)
-        self.training = True
-        self._cache = None
-
-    @property
-    def param_count(self):
-        return self.W.size + self.b.size
-
-    def init_weights(self, rng):
-        """He-normal for relu, Xavier-uniform otherwise; bias stays zero."""
-        if self.activation == "relu":
-            self.W[...] = rng.normal(0.0, math.sqrt(2.0 / self.input_dim), self.W.shape)
-        else:
-            bound = math.sqrt(6.0 / (self.input_dim + self.output_dim))
-            self.W[...] = rng.uniform(-bound, bound, self.W.shape)
-        self.b[...] = 0.0
-
-    def forward(self, x):
-        x = ndcore.as_mat(x)
-        if x.shape[1] != self.input_dim:
-            raise ShapeError(f"expected input width {self.input_dim}, got {x.shape[1]}")
-        z = x @ self.W + self.b
-        y = np.maximum(z, 0.0) if self.activation == "relu" else z
-        if self.training:
-            self._cache = (x, z)
-        return y
-
-    def backward(self, dLdy):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward (or layer is in eval mode)")
-        dLdy = ndcore.as_mat(dLdy)
-        x, z = self._cache
-        if dLdy.shape != (x.shape[0], self.output_dim):
-            raise ShapeError(
-                f"expected cotangent shape {(x.shape[0], self.output_dim)}, got {dLdy.shape}"
-            )
-        dz = dLdy * (z > 0.0) if self.activation == "relu" else dLdy
-        self.grad_W[...] = x.T @ dz
-        self.grad_b[...] = dz.sum(axis=0)
-        return dz @ self.W.T
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.grad_W, self.grad_b]

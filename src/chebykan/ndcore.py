@@ -1,72 +1,29 @@
-"""Dense numerics substrate: validated 2-D/3-D real arrays and a seeded RNG.
+"""Dense numerics substrate: a shape-checking coercion and a seeded RNG.
 
 Arrays are plain numpy ndarrays (row-major, real dtype); the helpers here pin
-down dtype, layout, and the reproducibility contract the rest of the package
-relies on. Training math defaults to float64; float32 is opt-in via
-``set_real_dtype`` and is not suitable for gradient checking.
+down layout and the reproducibility contract the rest of the package relies
+on. Data and random draws are float64. A model's precision is fixed when it
+is built (``network.build``'s ``dtype``), and its layers coerce their inputs
+to it; float32 is not suitable for gradient checking.
 """
 
 import hashlib
 
 import numpy as np
 
-# Type aliases for documentation: a Mat is a 2-D real array, a Ten3 is 3-D.
-Mat = np.ndarray
-Ten3 = np.ndarray
-
 _MASK64 = (1 << 64) - 1
-
-_real_dtype = np.float64
 
 
 class ShapeError(ValueError):
     """An operand violated a documented shape contract."""
 
 
-def set_real_dtype(dtype):
-    """Set the working precision; only float32 and float64 are supported."""
-    global _real_dtype
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported real dtype: {dtype}")
-    _real_dtype = dt.type
-
-
-def real_dtype():
-    return _real_dtype
-
-
-def zeros(shape):
-    return np.zeros(shape, dtype=_real_dtype)
-
-
-def ones(shape):
-    return np.ones(shape, dtype=_real_dtype)
-
-
-def as_mat(x):
-    """Coerce to a C-contiguous 2-D real array, or raise ShapeError."""
-    a = np.ascontiguousarray(x, dtype=_real_dtype)
+def as_mat(x, dtype=np.float64):
+    """Coerce to a C-contiguous 2-D array of ``dtype``, or raise ShapeError."""
+    a = np.ascontiguousarray(x, dtype=dtype)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got shape {a.shape}")
     return a
-
-
-def as_ten3(x):
-    """Coerce to a C-contiguous 3-D real array, or raise ShapeError."""
-    a = np.ascontiguousarray(x, dtype=_real_dtype)
-    if a.ndim != 3:
-        raise ShapeError(f"expected a 3-D array, got shape {a.shape}")
-    return a
-
-
-def matmul(a, b):
-    """c[i, j] = sum_t a[i, t] * b[t, j], accumulated at working precision."""
-    a = as_mat(a)
-    b = as_mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 class Rng:
@@ -97,7 +54,7 @@ class Rng:
         out = self._gen.uniform(low, high, shape)
         if shape is None:
             return float(out)
-        return out.astype(_real_dtype, copy=False)
+        return out
 
     def normal(self, mean=0.0, std=1.0, shape=None):
         if std < 0:
@@ -105,7 +62,7 @@ class Rng:
         out = self._gen.normal(mean, std, shape)
         if shape is None:
             return float(out)
-        return out.astype(_real_dtype, copy=False)
+        return out
 
     def permutation(self, n):
         return self._gen.permutation(n)
@@ -113,13 +70,3 @@ class Rng:
     def integers(self, low, high):
         """One int drawn uniformly from [low, high)."""
         return int(self._gen.integers(low, high))
-
-
-def rand_fill(rng, shape, dist):
-    """New array of ``shape`` drawn from ``("uniform", a, b)`` or ``("normal", mu, sigma)``."""
-    kind, p0, p1 = dist
-    if kind == "uniform":
-        return rng.uniform(p0, p1, shape)
-    if kind == "normal":
-        return rng.normal(p0, p1, shape)
-    raise ValueError(f"unknown distribution {kind!r}; use 'uniform' or 'normal'")

@@ -1,4 +1,4 @@
-"""Sequential layer composition, parameter counting, and save/load.
+"""Sequential layer composition, the parameter vector, and save/load.
 
 The digit-classification architecture is [784, 32, 16, 10] with LayerNorm
 after the first two KAN layers. Those widths are reconstructed from the
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import PolyKind
-from .layers import ChebyKanLayer, DenseLayer, InitMethod, LayerNorm, init_coeffs
+from .layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from .ndcore import Rng
 
 MNIST_WIDTHS = [784, 32, 16, 10]
@@ -74,11 +74,28 @@ def param_count(spec):
 
 
 class Sequential:
-    """Ordered layer stack; forward composes in order, backward in reverse."""
+    """Ordered layer stack; forward composes in order, backward in reverse.
+
+    The stack owns one parameter vector, ``flat_params``, and one gradient
+    vector of the same size, ``flat_grads``. Every layer parameter (and its
+    ``grad_`` twin) is rebound to a view into them, keeping its values, in
+    declaration order: layer by layer, each layer's ``param_names`` in turn.
+    That is also the order of the checkpoint stream.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
         self.training = True
+        self.flat_params = np.concatenate([p.ravel() for p in self.params()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        offset = 0
+        for layer in self.layers:
+            for name in layer.param_names:
+                p = getattr(layer, name)
+                end = offset + p.size
+                setattr(layer, name, self.flat_params[offset:end].reshape(p.shape))
+                setattr(layer, "grad_" + name, self.flat_grads[offset:end].reshape(p.shape))
+                offset = end
 
     def train(self, mode=True):
         self.training = mode
@@ -100,38 +117,35 @@ class Sequential:
         return dLdy
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def grads(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        """Per-tensor views into ``flat_params``, in declaration order."""
+        return [getattr(layer, name) for layer in self.layers for name in layer.param_names]
 
     def param_count(self):
-        return sum(p.size for p in self.params())
+        return self.flat_params.size
 
 
-def build(spec, init=InitMethod.XAVIER, rng=None):
+def build(spec, init=InitMethod.XAVIER, rng=None, dtype=np.float64):
     """KAN stack per spec: LayerNorm follows each KAN layer except the last.
 
     Each layer initializes from its own substream, so changing one width
-    never shifts another layer's draws.
+    never shifts another layer's draws. ``dtype`` (float32 or float64) is the
+    precision of the parameters, gradients and activations for the model's
+    lifetime; inputs of any float dtype are cast to it at each layer.
     """
     spec.validate()
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
     if rng is None:
         rng = Rng(0, "build")
     layers = []
     n_pairs = len(spec.widths) - 1
     for k in range(n_pairs):
-        kan = ChebyKanLayer(spec.widths[k], spec.widths[k + 1], spec.degree, spec.kind)
+        kan = ChebyKanLayer(spec.widths[k], spec.widths[k + 1], spec.degree, spec.kind,
+                            dtype=dtype)
         init_coeffs(kan, init, rng.substream(f"kan{k}"))
         layers.append(kan)
         if spec.layernorm_between and k < n_pairs - 1:
-            layers.append(LayerNorm(spec.widths[k + 1]))
+            layers.append(LayerNorm(spec.widths[k + 1], dtype=dtype))
     return Sequential(layers)
 
 
@@ -139,23 +153,12 @@ def mnist_arch(degree=3, kind=PolyKind.FIRST):
     return ArchSpec(widths=list(MNIST_WIDTHS), degree=degree, kind=kind, layernorm_between=True)
 
 
-def build_mlp(widths, rng):
-    """ReLU MLP baseline of the same widths (final layer linear)."""
-    layers = []
-    for k, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-        act = "relu" if k < len(widths) - 2 else "none"
-        dense = DenseLayer(a, b, activation=act)
-        dense.init_weights(rng.substream(f"dense{k}"))
-        layers.append(dense)
-    return Sequential(layers)
-
-
 def save_network(seq, spec, path):
-    """One ASCII header line, then every parameter tensor as little-endian f64.
+    """One ASCII header line, then the parameter vector as little-endian f64.
 
-    Header: ``chebykan-v1 <arch-string> <degree> <kind>``. Tensors follow in
-    declaration order (coefficients per KAN layer, gamma then beta per
-    LayerNorm, W then b per Dense), each flattened row-major.
+    Header: ``chebykan-v1 <arch-string> <degree> <kind>``. The vector holds
+    the tensors in declaration order (coefficients per KAN layer, gamma then
+    beta per LayerNorm), each flattened row-major.
     """
     spec.validate()
     if seq.param_count() != param_count(spec):
@@ -165,8 +168,7 @@ def save_network(seq, spec, path):
     header = f"{_HEADER_TAG} {spec.arch_string()} {spec.degree} {spec.kind.value}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for p in seq.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(seq.flat_params.astype("<f8").tobytes())
 
 
 def load_network(path):
@@ -186,8 +188,5 @@ def load_network(path):
             f"parameter stream holds {flat.size} values, spec implies {param_count(spec)}"
         )
     seq = build(spec, init=InitMethod.UNIFORM, rng=Rng(0, "load"))
-    offset = 0
-    for p in seq.params():
-        p[...] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    seq.flat_params[...] = flat
     return seq, spec

@@ -1,8 +1,9 @@
 """Losses and optimizers.
 
 Both losses return (scalar loss, gradient w.r.t. their first argument) so the
-training loop never re-derives gradients. Optimizers update parameter arrays
-in place; moment buffers allocate lazily to mirror the parameter shapes.
+training loop never re-derives gradients. Optimizers update one parameter
+array (a model's ``flat_params``) in place from a gradient array of the same
+shape; their state arrays are allocated on the first step.
 """
 
 import numpy as np
@@ -58,24 +59,19 @@ class Adam:
         self.v = None
 
     def step(self, params, grads):
-        if len(params) != len(grads):
-            raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
+        if params.shape != grads.shape:
+            raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        if len(self.m) != len(params):
-            raise ShapeError("parameter list changed size under the optimizer")
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape or p.shape != m.shape:
-                raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grads * grads)
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 class Sgd:
@@ -91,13 +87,10 @@ class Sgd:
         self.velocity = None
 
     def step(self, params, grads):
-        if len(params) != len(grads):
-            raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
+        if params.shape != grads.shape:
+            raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
         if self.velocity is None:
-            self.velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self.velocity):
-            if p.shape != g.shape or p.shape != v.shape:
-                raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}")
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
+            self.velocity = np.zeros_like(params)
+        self.velocity *= self.momentum
+        self.velocity += grads
+        params -= self.lr * self.velocity

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from chebykan.chebyshev import (PolyKind, eval_basis, eval_basis_batch,
-                                eval_basis_derivative, extrema,
-                                gauss_chebyshev, orthogonality_integral,
-                                roots)
+from chebykan.chebyshev import (PolyKind, eval_basis, eval_basis_derivative,
+                                extrema, gauss_chebyshev,
+                                orthogonality_integral, roots)
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
 
@@ -148,21 +147,11 @@ def test_orthogonality_needs_enough_nodes():
         orthogonality_integral(40, 40, F, nodes=64)
 
 
-def test_batch_basis_shape_and_consistency():
-    x = np.array([[0.1, -0.5], [0.9, 0.0], [-1.0, 1.0]])
-    bt = eval_basis_batch(x, 3, S)
-    assert bt.values.shape == (3, 2, 4)
-    assert bt.degree == 3 and bt.kind is S
-    np.testing.assert_allclose(bt.values[1, 0], eval_basis(0.9, 3, S))
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         eval_basis(0.5, -1, F)
     with pytest.raises(ValueError):
         eval_basis(np.nan, 3, F)
-    with pytest.raises(ValueError):
-        eval_basis_batch(np.array([[np.inf]]), 2, F)
     with pytest.raises(ValueError):
         roots(0)
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chebykan import cli, ndcore
-from chebykan.data import TRAIN_IMAGES, write_idx
+from chebykan import cli
+from chebykan.data import TRAIN_IMAGES, TRAIN_LABELS, write_idx
 
 
 def run(args):
@@ -39,6 +39,17 @@ def test_corrupt_idx_exits_2(tmp_path, synth_mnist_dir):
     (bad / TRAIN_IMAGES).write_bytes(blob[:40])
     assert run(["mnist", "--data-dir", str(bad), "--epochs", "0",
                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_idx_with_no_images_exits_2(tmp_path, synth_mnist_dir, capsys):
+    import shutil
+    empty = tmp_path / "empty"
+    shutil.copytree(synth_mnist_dir, empty)
+    write_idx(empty / TRAIN_IMAGES, np.zeros((0, 28, 28), dtype=np.uint8))
+    write_idx(empty / TRAIN_LABELS, np.zeros(0, dtype=np.uint8))
+    assert run(["mnist", "--data-dir", str(empty), "--epochs", "0",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    assert "data error:" in capsys.readouterr().err
 
 
 def test_approx_writes_dump_with_config_block(tmp_path, capsys):
@@ -161,10 +172,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_f32_runs_and_restores_dtype(tmp_path):
     out = tmp_path / "f32.csv"
-    assert ndcore.real_dtype() is np.float64
     assert run(["approx", "--f32", "--steps", "20", "--n", "64",
                 "--test-n", "16", "--out", str(out)]) == 0
-    assert ndcore.real_dtype() is np.float64
     assert "# f32 = true" in comments(out)
 
 

@@ -62,6 +62,28 @@ def test_max_steps_caps_training():
     assert [r.epoch for r in record.rows] == [1, 2]
 
 
+def test_max_steps_zero_takes_no_step():
+    cfg = _small_cfg(epochs=10, max_steps=0)
+    model = _build_for(cfg)
+    before = model.flat_params.copy()
+    record = train(model, _toy_regression(), _toy_regression(seed=1), cfg)
+    np.testing.assert_array_equal(model.flat_params, before)
+    zero = _small_cfg(epochs=0)
+    expect = train(_build_for(zero), _toy_regression(), _toy_regression(seed=1), zero)
+    assert [(r.epoch, r.train_loss, r.test_loss, r.metric) for r in record.rows] == \
+        [(r.epoch, r.train_loss, r.test_loss, r.metric) for r in expect.rows]
+
+
+def test_empty_split_raises_value_error_naming_it():
+    cfg = _small_cfg()
+    ds = _toy_regression()
+    empty = Dataset(features=ds.features[:0], targets=ds.targets[:0])
+    with pytest.raises(ValueError, match="train"):
+        train(_build_for(cfg), empty, ds, cfg)
+    with pytest.raises(ValueError, match="test"):
+        train(_build_for(cfg), ds, empty, cfg)
+
+
 def test_divergence_raises_with_location():
     cfg = _small_cfg(optimizer="sgd", lr=1e200, epochs=5)
     with pytest.raises(DivergenceError, match="epoch"):
@@ -76,6 +98,8 @@ def test_config_validation():
         _small_cfg(batch_size=0).validate()
     with pytest.raises(ValueError):
         _small_cfg(optimizer="lbfgs").validate()
+    with pytest.raises(ValueError):
+        _small_cfg(max_steps=-1).validate()
 
 
 def test_evaluate_constant_classifier_on_balanced_set():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chebykan.chebyshev import PolyKind, eval_basis
-from chebykan.layers import (ChebyKanLayer, DenseLayer, InitMethod, LayerNorm,
-                             init_coeffs)
+from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from chebykan.ndcore import Rng
+from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
 
@@ -172,33 +172,18 @@ def test_layernorm_backward_matches_finite_difference():
                                        rtol=1e-4, atol=1e-8)
 
 
-def test_dense_layer_relu_and_grads():
-    dense = DenseLayer(3, 2, activation="relu")
-    dense.init_weights(Rng(7, "d"))
-    x = np.array([[1.0, -2.0, 0.5]])
-    y = dense.forward(x)
-    assert np.all(y >= 0.0)
-    dense.forward(x)
-    dLdx = dense.backward(np.ones((1, 2)))
-    assert dLdx.shape == (1, 3)
-    h = 1e-6
-    for i in range(dense.W.size):
-        old = dense.W.flat[i]
-        dense.W.flat[i] = old + h
-        lp = dense.forward(x).sum()
-        dense.W.flat[i] = old - h
-        lm = dense.forward(x).sum()
-        dense.W.flat[i] = old
-        np.testing.assert_allclose(dense.grad_W.flat[i], (lp - lm) / (2 * h),
-                                   rtol=1e-5, atol=1e-9)
-
-
 def test_params_and_grads_line_up():
     layer = _filled_layer(2, 3, 4)
-    assert [p.shape for p in layer.params()] == [(2, 3, 5)]
-    assert [g.shape for g in layer.grads()] == [(2, 3, 5)]
-    ln = LayerNorm(4)
-    assert [p.shape for p in ln.params()] == [(4,), (4,)]
+    coeffs = layer.coeffs.copy()
+    ln = LayerNorm(3)
+    model = Sequential([layer, ln])
+    assert [p.shape for p in model.params()] == [(2, 3, 5), (3,), (3,)]
+    assert model.flat_params.shape == model.flat_grads.shape == (30 + 3 + 3,)
+    # the stack keeps the layers' values and gradients sit at the same offsets
+    np.testing.assert_array_equal(layer.coeffs, coeffs)
+    np.testing.assert_array_equal(model.flat_params[30:], [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert np.shares_memory(layer.grad_coeffs, model.flat_grads[:30])
+    assert np.shares_memory(ln.grad_beta, model.flat_grads[33:])
 
 
 def test_constructor_validation():

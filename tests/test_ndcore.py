@@ -40,36 +40,6 @@ def test_permutation_covers_range():
     assert sorted(p.tolist()) == list(range(10))
 
 
-def test_matmul_checks_inner_dim():
-    a = np.zeros((2, 3))
-    b = np.zeros((4, 5))
-    with pytest.raises(ShapeError):
-        ndcore.matmul(a, b)
-    c = ndcore.matmul(np.ones((2, 3)), np.ones((3, 5)))
-    np.testing.assert_allclose(c, 3.0)
-
-
 def test_as_mat_rejects_wrong_rank():
     with pytest.raises(ShapeError):
         ndcore.as_mat(np.zeros((2, 2, 2)))
-
-
-def test_real_dtype_switch_and_guard():
-    assert ndcore.real_dtype() is np.float64
-    try:
-        ndcore.set_real_dtype(np.float32)
-        assert ndcore.zeros((2, 2)).dtype == np.float32
-    finally:
-        ndcore.set_real_dtype(np.float64)
-    with pytest.raises(ValueError):
-        ndcore.set_real_dtype(np.int32)
-
-
-def test_rand_fill_dispatch():
-    r = Rng(1, "fill")
-    u = ndcore.rand_fill(r, (100,), ("uniform", -2.0, -1.0))
-    assert u.min() >= -2.0 and u.max() <= -1.0
-    n = ndcore.rand_fill(Rng(1, "fill"), (5, 5), ("normal", 0.0, 1.0))
-    assert n.shape == (5, 5)
-    with pytest.raises(ValueError):
-        ndcore.rand_fill(r, (3,), ("cauchy", 0.0, 1.0))

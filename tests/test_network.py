@@ -4,9 +4,8 @@ import pytest
 from chebykan.chebyshev import PolyKind
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm
 from chebykan.ndcore import Rng
-from chebykan.network import (MNIST_WIDTHS, ArchSpec, build, build_mlp,
-                              load_network, mnist_arch, param_count,
-                              save_network)
+from chebykan.network import (MNIST_WIDTHS, ArchSpec, build, load_network,
+                              mnist_arch, param_count, save_network)
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
 
@@ -72,7 +71,7 @@ def test_forward_backward_shapes():
     assert y.shape == (7, 2)
     dLdx = model.backward(np.ones((7, 2)))
     assert dLdx.shape == (7, 3)
-    assert len(model.params()) == len(model.grads())
+    assert model.flat_grads.shape == model.flat_params.shape
 
 
 def test_train_eval_toggle_propagates():
@@ -103,6 +102,9 @@ def test_save_load_round_trip(tmp_path):
     loaded, back = load_network(path)
     assert back == spec
     np.testing.assert_array_equal(loaded.forward(x), y)
+    resaved = tmp_path / "again.bin"
+    save_network(loaded, back, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_save_rejects_mismatched_spec(tmp_path):
@@ -129,9 +131,43 @@ def test_load_rejects_corruption(tmp_path):
         load_network(bad_tag)
 
 
-def test_mlp_baseline_runs():
-    mlp = build_mlp([4, 8, 2], Rng(0, "mlp"))
-    x = Rng(0, "x").normal(0, 1, (6, 4))
-    y = mlp.forward(x)
-    assert y.shape == (6, 2)
-    assert mlp.param_count() == 4 * 8 + 8 + 8 * 2 + 2
+
+def test_layers_are_views_into_the_parameter_vector():
+    model = build(ArchSpec([3, 4, 2], 2, F), InitMethod.XAVIER, Rng(0, "t"))
+    kan0, ln, kan1 = model.layers
+    n0, n1 = kan0.coeffs.size, kan1.coeffs.size
+    assert model.param_count() == model.flat_params.size == n0 + 8 + n1
+    model.flat_params[:] = np.arange(model.flat_params.size)
+    np.testing.assert_array_equal(kan0.coeffs.ravel(), np.arange(n0))
+    np.testing.assert_array_equal(ln.gamma, np.arange(n0, n0 + 4))
+    np.testing.assert_array_equal(ln.beta, np.arange(n0 + 4, n0 + 8))
+    np.testing.assert_array_equal(kan1.coeffs.ravel(), np.arange(n0 + 8, n0 + 8 + n1))
+    for p, view in zip(model.params(), (kan0.coeffs, ln.gamma, ln.beta, kan1.coeffs)):
+        assert p is view
+    model.flat_params[:] = Rng(0, "p").uniform(-0.5, 0.5, model.flat_params.size)
+    model.flat_grads[:] = np.nan
+    model.forward(Rng(0, "x").uniform(-1, 1, (5, 3)))
+    model.backward(np.ones((5, 2)))
+    assert np.all(np.isfinite(model.flat_grads))
+    np.testing.assert_array_equal(model.flat_grads[:n0], kan0.grad_coeffs.ravel())
+    np.testing.assert_array_equal(model.flat_grads[n0 + 4:n0 + 8], ln.grad_beta)
+
+
+def test_dtype_is_fixed_at_build():
+    spec = ArchSpec([3, 4, 2], 3, S)
+    x = Rng(2, "x").uniform(-1, 1, (5, 3))  # Rng draws are float64
+    assert x.dtype == np.float64
+    for dtype in (np.float64, np.float32):
+        model = build(spec, InitMethod.LECUN, Rng(2, "t"), dtype=dtype)
+        assert model.flat_params.dtype == model.flat_grads.dtype == dtype
+        assert all(p.dtype == dtype for p in model.params())
+        y = model.forward(x)
+        dLdx = model.backward(np.ones((5, 2)))
+        assert y.dtype == dLdx.dtype == dtype
+    default = build(spec, InitMethod.LECUN, Rng(2, "t"))
+    assert default.flat_params.dtype == np.float64
+
+
+def test_build_rejects_non_float_dtype():
+    with pytest.raises(ValueError):
+        build(ArchSpec([2, 2], 1), InitMethod.XAVIER, Rng(0, "t"), dtype=np.int32)

@@ -74,7 +74,7 @@ def test_adam_first_step_is_signed_lr():
     p = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, -4.0, 1e-3])
     opt = Adam(lr=0.1)
-    opt.step([p], [g])
+    opt.step(p, g)
     # bias correction makes the first update lr * g / (|g| + eps) ~ lr * sign(g)
     np.testing.assert_allclose(p, [1.0 - 0.1, -2.0 + 0.1, 3.0 - 0.1], atol=1e-4)
 
@@ -84,7 +84,7 @@ def test_adam_moments_track_constant_gradient():
     g = np.ones(1)
     opt = Adam(lr=0.01)
     for _ in range(50):
-        opt.step([p], [g])
+        opt.step(p, g)
     # constant gradient: every bias-corrected step is exactly lr*g/(|g|+eps)
     np.testing.assert_allclose(p, -0.01 * 50, rtol=1e-6)
 
@@ -96,7 +96,7 @@ def test_sgd_momentum_velocity_is_geometric():
     total = 0.0
     v = 0.0
     for _ in range(10):
-        opt.step([p], [np.array([g])])
+        opt.step(p, np.array([g]))
         v = mu * v + g
         total -= lr * v
     np.testing.assert_allclose(p, total, rtol=1e-12)
@@ -105,7 +105,7 @@ def test_sgd_momentum_velocity_is_geometric():
 def test_sgd_without_momentum_is_plain_descent():
     p = np.array([1.0])
     opt = Sgd(lr=0.5, momentum=0.0)
-    opt.step([p], [np.array([2.0])])
+    opt.step(p, np.array([2.0]))
     np.testing.assert_allclose(p, [0.0])
 
 
@@ -118,11 +118,11 @@ def test_optimizer_validation():
         Adam(lr=-1.0)
     opt = Adam(lr=0.1)
     with pytest.raises(ShapeError):
-        opt.step([np.zeros(2)], [np.zeros(2), np.zeros(2)])
+        opt.step(np.zeros(2), np.zeros(3))
 
 
 def test_optimizers_update_in_place():
     p = np.zeros(3)
     ref = p
-    Adam(lr=0.1).step([p], [np.ones(3)])
+    Adam(lr=0.1).step(p, np.ones(3))
     assert p is ref and not np.all(p == 0.0)
