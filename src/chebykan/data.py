@@ -176,6 +176,8 @@ def sample_function(target, lo, hi, n, rng):
     """n uniform samples of a named 1-D target function on [lo, hi]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if target not in TARGETS:
@@ -196,6 +198,9 @@ class FractalParams:
     seed: int = 0
 
     def validate(self):
+        for name in ("alpha", "b", "extent"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.iters < 0:
             raise ValueError(f"iters must be >= 0, got {self.iters}")
         if self.grid < 2:

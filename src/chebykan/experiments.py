@@ -7,6 +7,7 @@ CSV schemas (exact headers): per-epoch runs use
 ``axis_value,test_accuracy,test_loss,param_count,wall_time_s``.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -23,16 +24,21 @@ from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
 RUN_CSV_HEADER = "epoch,train_loss,test_loss,metric"
 ABLATION_CSV_HEADER = "axis_value,test_accuracy,test_loss,param_count,wall_time_s"
 
-INIT_SWEEP = [InitMethod.XAVIER, InitMethod.HE, InitMethod.NORMAL,
-              InitMethod.UNIFORM, InitMethod.LECUN, InitMethod.ORTHOGONAL]
-DEGREE_SWEEP = [2, 3, 4, 5]
-NORM_SWEEP = [NormScheme.TANH, NormScheme.MINMAX, NormScheme.STANDARDIZE]
-KIND_SWEEP = [PolyKind.FIRST, PolyKind.SECOND]
+# each ablation axis names the TrainConfig field it sweeps
+ABLATION_SWEEPS = {
+    "init": [InitMethod.XAVIER, InitMethod.HE, InitMethod.NORMAL,
+             InitMethod.UNIFORM, InitMethod.LECUN, InitMethod.ORTHOGONAL],
+    "degree": [2, 3, 4, 5],
+    "norm": [NormScheme.TANH, NormScheme.MINMAX, NormScheme.STANDARDIZE],
+    "kind": [PolyKind.FIRST, PolyKind.SECOND],
+}
 
-# function-approximation recipe used by the polynomial-kind comparison
-KIND_FUNCTION_RECIPE = dict(target="sin_plus_sq", lo=-2.0, hi=2.0, n=2000,
-                            test_n=500, widths=(1, 8, 1), degree=4,
-                            lr=1e-2, steps=2000)
+# The 1-D function-approximation recipe: the defaults of `chebykan approx` and
+# the regression half of the polynomial-kind ablation. FUNCTION_FIT holds
+# fit_function's arguments, FUNCTION_FIT_TRAINING its TrainConfig overrides.
+FUNCTION_FIT = dict(target="sin_plus_sq", lo=-2.0, hi=2.0, n=2000, test_n=500,
+                    steps=2000)
+FUNCTION_FIT_TRAINING = dict(widths=(1, 8, 1), degree=4, lr=1e-2)
 
 
 class DivergenceError(RuntimeError):
@@ -57,12 +63,21 @@ class TrainConfig:
     dtype: type = np.float64  # model precision, passed to network.build
 
     def validate(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        """Reject values no run can use, the architecture's included; each
+        message names the offending field."""
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer == "sgd" and not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        self.arch().validate()
 
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,
@@ -231,8 +246,14 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
     identically zero input gradients, which is asserted exactly instead of
     being finite-differenced. ``corrupt=True`` flips the sign of the largest
     analytic gradient entry — a self-test that the harness does flag a broken
-    backward pass.
+    backward pass. A non-finite relative error makes the result non-finite,
+    and a step ``h`` that is not finite and > 0, or ``trials < 1``, raises
+    ValueError, since such a run would measure nothing.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be finite and > 0, got {h}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     root = Rng(seed, "gradcheck")
     worst = 0.0
 
@@ -277,16 +298,16 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
         for i in range(analytic.size):
             num = fd(model.flat_params, i, x)
             rel = abs(analytic[i] - num) / max(1e-12, abs(num))
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
 
         if degree == 0:
-            worst = max(worst, float(np.max(np.abs(dLdx), initial=0.0)))
+            worst = np.maximum(worst, float(np.max(np.abs(dLdx), initial=0.0)))
         else:
             xp = x.copy()
             for i in range(x.size):
                 num = fd(xp, i, xp)
                 rel = abs(dLdx.flat[i] - num) / max(1e-12, abs(num))
-                worst = max(worst, rel)
+                worst = np.maximum(worst, rel)
 
     return float(worst)
 
@@ -304,7 +325,7 @@ class AblationRow:
                 f"{self.param_count},{self.wall_time_s!r}")
 
 
-def _run_classifier(cfg, train_raw, test_raw):
+def run_classifier(cfg, train_raw, test_raw):
     """Normalize (train stats reused for test), build, train; returns the record."""
     tr = apply_norm(train_raw, cfg.norm)
     te = apply_norm(test_raw, cfg.norm, stats=tr.norm)
@@ -312,19 +333,25 @@ def _run_classifier(cfg, train_raw, test_raw):
     return train(model, tr, te, cfg)
 
 
-def _run_kind_function(kind, seed, dtype):
-    """Function-approximation MSE for one polynomial kind (fixed small recipe)."""
-    rec = KIND_FUNCTION_RECIPE
-    rng = Rng(seed, "kind-function")
-    train_ds = sample_function(rec["target"], rec["lo"], rec["hi"], rec["n"],
-                               rng.substream("train"))
-    test_ds = sample_function(rec["target"], rec["lo"], rec["hi"], rec["test_n"],
-                              rng.substream("test"))
-    cfg = TrainConfig(epochs=10 ** 9, batch_size=64, lr=rec["lr"], seed=seed,
-                      degree=rec["degree"], kind=kind, widths=list(rec["widths"]),
-                      max_steps=rec["steps"], dtype=dtype)
-    model = build(cfg.arch(), cfg.init, Rng(seed, "init"), dtype)
-    return train(model, train_ds, test_ds, cfg)
+def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
+    """Fit a named 1-D target on [lo, hi] with `steps` optimizer steps.
+
+    The n train and test_n test samples come from the "train" and "test"
+    substreams of (cfg.seed, stream), so each caller's label keeps its own
+    draws. cfg's epochs and max_steps are replaced by `steps`. Returns the
+    run record, the trained model and the test split.
+    """
+    if test_n < 1:
+        raise ValueError(f"test_n must be >= 1, got {test_n}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rng = Rng(cfg.seed, stream)
+    train_ds = sample_function(target, lo, hi, n, rng.substream("train"))
+    test_ds = sample_function(target, lo, hi, test_n, rng.substream("test"))
+    # every epoch takes at least one optimizer step, so `steps` epochs suffice
+    cfg = replace(cfg, epochs=steps, max_steps=steps)
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
+    return train(model, train_ds, test_ds, cfg), model, test_ds
 
 
 def run_ablation(axis, base_cfg, train_raw, test_raw):
@@ -339,46 +366,40 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
     """
     rows = []
     records = []
-    if axis == "init":
-        sweep = [(m.value, replace(base_cfg, init=m)) for m in INIT_SWEEP]
-    elif axis == "degree":
-        sweep = [(str(d), replace(base_cfg, degree=d)) for d in DEGREE_SWEEP]
-    elif axis == "norm":
-        sweep = [(s.value, replace(base_cfg, norm=s)) for s in NORM_SWEEP]
-    elif axis == "kind":
-        sweep = [(k.value, replace(base_cfg, kind=k)) for k in KIND_SWEEP]
-    else:
+    if axis not in ABLATION_SWEEPS:
         raise ValueError(f"unknown ablation axis {axis!r}; "
                          "choose init, degree, norm, or kind")
-    for value, cfg in sweep:
-        rec = _run_classifier(cfg, train_raw, test_raw)
+    for value in ABLATION_SWEEPS[axis]:
+        cfg = replace(base_cfg, **{axis: value})
+        rec = run_classifier(cfg, train_raw, test_raw)
         wall = rec.wall_time_s
         if axis == "kind":
-            func_rec = _run_kind_function(cfg.kind, cfg.seed, cfg.dtype)
+            func_cfg = TrainConfig(seed=cfg.seed, kind=cfg.kind, dtype=cfg.dtype,
+                                   **FUNCTION_FIT_TRAINING)
+            func_rec = fit_function(func_cfg, "kind-function", **FUNCTION_FIT)[0]
             test_loss = func_rec.final_metric
             wall += func_rec.wall_time_s
         else:
             test_loss = rec.rows[-1].test_loss
         expected = network.param_count(cfg.arch())
         assert rec.param_count == expected, "param_count drifted from the spec formula"
-        rows.append(AblationRow(axis_value=value, test_accuracy=rec.final_metric,
-                                test_loss=test_loss, param_count=expected,
-                                wall_time_s=wall))
+        rows.append(AblationRow(axis_value=str(getattr(value, "value", value)),
+                                test_accuracy=rec.final_metric, test_loss=test_loss,
+                                param_count=expected, wall_time_s=wall))
         records.append(rec)
     return rows, records
 
 
 def write_run_csv(record, path, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.extend(record.csv_lines())
-    lines.append(f"# wall_time_s = {record.wall_time_s!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, comments, record.csv_lines()
+                + [f"# wall_time_s = {record.wall_time_s!r}"])
 
 
 def write_ablation_csv(rows, path, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(ABLATION_CSV_HEADER)
-    lines.extend(r.csv_line() for r in rows)
+    write_lines(path, comments, [ABLATION_CSV_HEADER] + [r.csv_line() for r in rows])
+
+
+def write_lines(path, comments, lines):
+    """Write the comments as `# ` lines, then `lines`, each newline-terminated."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"# {c}" for c in comments] + lines) + "\n")

@@ -18,11 +18,37 @@ def comments(path):
     return [l for l in path.read_text().splitlines() if l.startswith("#")]
 
 
-def test_usage_errors_exit_1():
-    assert run(["approx", "--n", "0"]) == 1
-    assert run(["approx", "--degree", "notanint"]) == 1
-    assert run(["mnist", "--init", "foo"]) == 1
-    assert run(["ablate", "--axis", "bogus"]) == 1
+def test_usage_errors_exit_1(tmp_path, capsys):
+    sgd_nan = tmp_path / "sgd_nan.cfg"
+    sgd_nan.write_text("optimizer = sgd\nmomentum = nan\n")
+    lr_nan = tmp_path / "lr_nan.cfg"
+    lr_nan.write_text("lr = nan\n")
+    cases = [
+        (["approx", "--n", "0"], "n"),
+        (["approx", "--test-n", "0"], "test_n"),
+        (["approx", "--degree", "notanint"], "degree"),
+        (["mnist", "--init", "foo"], "init"),
+        (["ablate", "--axis", "bogus"], "axis"),
+        (["approx", "--degree", "-1"], "degree"),
+        (["approx", "--widths", "1,0,1"], "widths"),
+        (["approx", "--steps", "-3"], "steps"),
+        (["approx", "--lo", "3", "--hi", "2"], "lo"),
+        (["approx", "--lo", "nan"], "lo"),
+        (["approx", "--config", str(sgd_nan), "--steps", "5"], "momentum"),
+        (["approx", "--config", str(lr_nan), "--steps", "5"], "lr"),
+        (["mnist", "--config", str(lr_nan), "--data-dir",
+          str(tmp_path / "nowhere")], "lr"),
+        (["fractal", "--extent", "nan", "--grid", "4"], "extent"),
+        (["fractal", "--b", "nan", "--grid", "4"], "b"),
+        (["gradcheck", "--h", "0", "--trials", "3"], "h"),
+        (["gradcheck", "--h", "nan"], "h"),
+        (["gradcheck", "--trials", "0"], "trials"),
+        (["gradcheck", "--trials", "-1"], "trials"),
+    ]
+    for argv, key in cases:
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, (argv, err)
     with pytest.raises(cli.UsageError):
         cli.build_parser().parse_args(["nosuchcommand"])
 
@@ -145,9 +171,10 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
 
 
 def test_gradcheck_failure_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "grad_check", lambda **kw: 1.0)
-    assert run(["gradcheck", "--trials", "1"]) == 3
-    assert "FAIL" in capsys.readouterr().err
+    for err in (1.0, float("nan")):
+        monkeypatch.setattr(cli, "grad_check", lambda **kw: err)
+        assert run(["gradcheck", "--trials", "1"]) == 3
+        assert "FAIL" in capsys.readouterr().err
 
 
 def test_divergence_exits_3(tmp_path):
@@ -204,3 +231,92 @@ def test_config_echo_is_reusable_as_config(tmp_path):
     replay = tmp_path / "replay.csv"
     assert run(["approx", "--config", str(cfg), "--out", str(replay)]) == 0
     assert body(out) == body(replay)
+
+
+_CLASSIFIER_ECHO = {"degree": "3", "kind": "first", "init": "xavier",
+                    "norm": "tanh", "epochs": "10", "batch_size": "64",
+                    "lr": "0.001", "widths": "784,32,16,10",
+                    "optimizer": "adam", "momentum": "0.9", "layernorm": "true"}
+_CLASSIFIER_FLAGS = {"degree": "--degree", "kind": "--kind", "init": "--init",
+                     "norm": "--norm", "epochs": "--epochs",
+                     "batch_size": "--batch", "lr": "--lr"}
+_CLASSIFIER_CONFIG_ONLY = {"widths", "optimizer", "momentum", "layernorm",
+                           "max_steps"}
+_FIT_CONFIG_ONLY = {"kind", "init", "batch_size", "lr", "norm", "optimizer",
+                    "momentum", "layernorm", "max_steps"}
+
+# command -> (flags of the run, keys it overrides, value flags, config-only
+# keys, echoed defaults of every other key). Keys absent from the echo
+# default to None.
+_INTERFACE = {
+    "mnist": (
+        ["--data-dir", "{idx}", "--subset", "64"], {"data_dir", "subset"},
+        {"data_dir": "--data-dir", "subset": "--subset", **_CLASSIFIER_FLAGS},
+        _CLASSIFIER_CONFIG_ONLY, _CLASSIFIER_ECHO,
+    ),
+    "approx": (
+        ["--steps", "5", "--n", "16", "--test-n", "8"], {"steps", "n", "test_n"},
+        {"target": "--target", "lo": "--lo", "hi": "--hi", "n": "--n",
+         "test_n": "--test-n", "widths": "--widths", "degree": "--degree",
+         "steps": "--steps"},
+        _FIT_CONFIG_ONLY,
+        {"target": "sin_plus_sq", "lo": "-2.0", "hi": "2.0", "widths": "1,8,1",
+         "degree": "4", "kind": "first", "init": "xavier", "batch_size": "64",
+         "lr": "0.01", "norm": "tanh", "optimizer": "adam", "momentum": "0.9",
+         "layernorm": "true"},
+    ),
+    "fractal": (
+        ["--grid", "4"], {"grid"},
+        {"alpha": "--alpha", "b": "--b", "iters": "--iters", "grid": "--grid",
+         "extent": "--extent", "widths": "--widths", "degree": "--degree"},
+        _FIT_CONFIG_ONLY | {"epochs"},
+        {"alpha": "0.7", "b": "0.001", "iters": "5", "extent": "2.0",
+         "widths": "2,64,64,1", "degree": "3", "kind": "first", "init": "xavier",
+         "epochs": "60", "batch_size": "64", "lr": "0.01", "norm": "tanh",
+         "optimizer": "adam", "momentum": "0.9", "layernorm": "true"},
+    ),
+    "ablate": (
+        ["--axis", "degree", "--data-dir", "{idx}", "--subset", "64"],
+        {"axis", "data_dir", "subset"},
+        {"axis": "--axis", "data_dir": "--data-dir", "subset": "--subset",
+         **_CLASSIFIER_FLAGS},
+        _CLASSIFIER_CONFIG_ONLY, _CLASSIFIER_ECHO,
+    ),
+    "gradcheck": (
+        ["--trials", "1"], {"trials"}, {"trials": "--trials", "h": "--h"},
+        set(), {"h": "1e-06"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_INTERFACE))
+def test_command_interface_is_pinned(command, tmp_path, synth_mnist_dir, capsys):
+    """Config keys, flag spellings and echoed defaults of each command."""
+    args, overridden, value_flags, config_only, echo = _INTERFACE[command]
+    bogus = tmp_path / "bogus.cfg"
+    bogus.write_text("no_such_key = 1\n")
+    assert run([command, "--config", str(bogus)]) == 1
+    keys = set(capsys.readouterr().err.strip().split("valid keys: ")[1].split(", "))
+    training = command != "gradcheck"
+    shared = {"seed", "out"} | ({"f32"} if training else set())
+    assert keys == shared | set(value_flags) | config_only
+
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command").choices[command]
+    flags = {a.dest: "switch" if a.nargs == 0 else a.option_strings[0]
+             for a in sub._actions if a.option_strings
+             and a.dest not in ("help", "config")}
+    expected_flags = {"seed": "--seed", "out": "--out", **value_flags}
+    if training:
+        expected_flags["f32"] = "switch"
+    assert flags == expected_flags
+
+    out = tmp_path / "out.csv"
+    argv = [a.format(idx=synth_mnist_dir) for a in args]
+    assert run([command, *argv, "--out", str(out)]) == 0
+    echo_file = tmp_path / "out_true.csv" if command == "fractal" else out
+    echoed = dict(l[2:].split(" = ", 1) for l in comments(echo_file))
+    assert echoed.pop("command") == command
+    assert echoed.pop("out") == str(out)
+    echoed = {k: v for k, v in echoed.items() if k in keys - overridden}
+    assert echoed == {"seed": "42", **({"f32": "false"} if training else {}), **echo}

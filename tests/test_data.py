@@ -111,6 +111,10 @@ def test_sample_function_validation():
         sample_function("sin_plus_sq", 1.0, -1.0, 5, Rng(0, "s"))
     with pytest.raises(ValueError):
         sample_function("nope", -1.0, 1.0, 5, Rng(0, "s"))
+    for lo, hi in ((float("nan"), 1.0), (-1.0, float("nan")),
+                   (float("-inf"), 1.0), (-1.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            sample_function("sin_plus_sq", lo, hi, 5, Rng(0, "s"))
 
 
 def test_fractal_seed_values():
@@ -147,6 +151,10 @@ def test_fractal_params_validation():
         fractal_grid(FractalParams(grid=1))
     with pytest.raises(ValueError):
         fractal_grid(FractalParams(extent=0.0))
+    for name in ("alpha", "b", "extent"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                fractal_grid(FractalParams(grid=4, **{name: bad}))
 
 
 def test_dump_grid_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chebykan import experiments
 from chebykan.chebyshev import PolyKind
 from chebykan.data import Dataset, NormScheme, load_mnist_idx, sample_function
 from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
@@ -100,6 +101,16 @@ def test_config_validation():
         _small_cfg(optimizer="lbfgs").validate()
     with pytest.raises(ValueError):
         _small_cfg(max_steps=-1).validate()
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            _small_cfg(lr=lr).validate()
+    with pytest.raises(ValueError, match="momentum"):
+        _small_cfg(optimizer="sgd", momentum=float("nan")).validate()
+    _small_cfg(optimizer="adam", momentum=float("nan")).validate()  # unused
+    with pytest.raises(ValueError, match="degree"):
+        _small_cfg(degree=-1).validate()
+    with pytest.raises(ValueError, match="widths"):
+        _small_cfg(widths=[1, 0, 1]).validate()
 
 
 def test_evaluate_constant_classifier_on_balanced_set():
@@ -139,6 +150,17 @@ def test_grad_check_small_run_passes():
 
 def test_grad_check_flags_corrupted_backward():
     assert grad_check(trials=5, corrupt=True) > 1e-1
+
+
+def test_grad_check_rejects_empty_audits_and_keeps_nan(monkeypatch):
+    for kwargs in (dict(h=0.0), dict(h=-1e-6), dict(h=float("nan")),
+                   dict(h=float("inf")), dict(trials=0), dict(trials=-1)):
+        with pytest.raises(ValueError):
+            grad_check(**kwargs)
+    # a finite-difference oracle that yields NaN must not read as a pass
+    monkeypatch.setattr(experiments, "_forward_hp",
+                        lambda model, x: np.full((len(x), 1), np.nan))
+    assert np.isnan(grad_check(trials=2))
 
 
 def test_run_csv_format(tmp_path):
