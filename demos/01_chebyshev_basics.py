@@ -31,7 +31,7 @@ worst = max(abs(eval_basis(np.cos(t), 8, PolyKind.FIRST)[8] - np.cos(8 * t))
             for t in theta)
 print(f"\nmax |T_8(cos t) - cos(8t)| over a grid: {worst:.2e}")
 
-# derivatives come from U: T'_n = n U_{n-1}
+# derivatives by the differentiated recurrence agree with T'_n = n U_{n-1}
 x = 0.37
 d = eval_basis_derivative(x, 5, PolyKind.FIRST)
 u = eval_basis(x, 4, PolyKind.SECOND)

@@ -41,28 +41,6 @@ def _basis_stack(x, degree, kind):
     return out
 
 
-def _derivative_stack(x, degree, kind):
-    """d/dx P_0..P_degree of every element of x, stacked along a new last axis.
-
-    First kind uses the identity T'_k = k * U_{k-1}. Second kind uses the
-    derivative recurrence U'_k = 2 U_{k-1} + 2x U'_{k-1} - U'_{k-2} with seeds
-    U'_0 = 0, U'_1 = 2, which stays finite at x = +/-1 where the closed form
-    has a 1/(1 - x^2) singularity.
-    """
-    x = np.asarray(x)
-    out = np.zeros(x.shape + (degree + 1,), dtype=x.dtype)
-    if degree == 0:
-        return out
-    u = _basis_stack(x, degree - 1, PolyKind.SECOND)
-    if kind is PolyKind.FIRST:
-        out[..., 1:] = np.arange(1, degree + 1, dtype=x.dtype) * u
-    else:
-        out[..., 1] = 2.0
-        for k in range(2, degree + 1):
-            out[..., k] = 2.0 * u[..., k - 1] + 2.0 * x * out[..., k - 1] - out[..., k - 2]
-    return out
-
-
 def eval_basis(x, degree, kind=PolyKind.FIRST):
     """[P_0(x), ..., P_degree(x)] for a scalar x, by the three-term recurrence."""
     if degree < 0:
@@ -73,12 +51,21 @@ def eval_basis(x, degree, kind=PolyKind.FIRST):
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
-    """[P'_0(x), ..., P'_degree(x)] for a scalar x; P'_0 is always 0."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return _derivative_stack(float(x), degree, kind)
+    """[P'_0(x), ..., P'_degree(x)] for a scalar x; P'_0 is always 0.
+
+    Differentiating the recurrence gives P'_k = 2 P_{k-1} + 2x P'_{k-1} - P'_{k-2}
+    over the same-kind basis, seeded P'_0 = 0 and P'_1 = 1 (first kind) or 2
+    (second kind). It stays finite at x = +/-1, where the closed forms have a
+    1/(1 - x^2) singularity.
+    """
+    p = eval_basis(x, degree, kind)  # checks degree and x
+    x = float(x)
+    out = np.zeros(degree + 1)
+    if degree >= 1:
+        out[1] = 1.0 if kind is PolyKind.FIRST else 2.0
+        for k in range(2, degree + 1):
+            out[k] = 2.0 * p[k - 1] + 2.0 * x * out[k - 1] - out[k - 2]
+    return out
 
 
 def roots(n):

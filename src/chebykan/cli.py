@@ -21,9 +21,9 @@ from .data import (TARGETS, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
                    TRAIN_LABELS, Dataset, FractalParams, IdxFormatError,
                    dump_grid, fractal_grid, load_mnist_idx)
 from .experiments import (ABLATION_SWEEPS, FUNCTION_FIT, FUNCTION_FIT_TRAINING,
-                          DivergenceError, TrainConfig, evaluate, fit_function,
-                          grad_check, run_ablation, run_classifier, train,
-                          write_ablation_csv, write_lines, write_run_csv)
+                          DivergenceError, TrainConfig, check_widths, evaluate,
+                          fit_function, grad_check, run_ablation, run_classifier,
+                          train, write_ablation_csv, write_lines, write_run_csv)
 from .ndcore import Rng
 from .network import build
 
@@ -255,9 +255,9 @@ def _train_config(resolved):
 # ---------------------------------------------------------------------------
 # data plumbing
 
-def _load_mnist(resolved):
+def _load_mnist(resolved, cfg):
     """The train and test splits from the run's data directory, the train
-    split cut to its first `subset` examples."""
+    split cut to its first `subset` examples; cfg's widths must fit both."""
     subset = resolved["subset"]
     if subset is not None and subset < 1:
         raise UsageError(f"subset must be >= 1, got {subset}")
@@ -270,7 +270,9 @@ def _load_mnist(resolved):
     train_raw = load_mnist_idx(*paths[:2])
     train_raw = Dataset(features=train_raw.features[:subset],
                         labels=train_raw.labels[:subset])
-    return train_raw, load_mnist_idx(*paths[2:])
+    test_raw = load_mnist_idx(*paths[2:])
+    _checked(check_widths, cfg.widths, train_raw, test_raw)
+    return train_raw, test_raw
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +280,7 @@ def _load_mnist(resolved):
 
 def cmd_mnist(resolved, comments):
     cfg = _train_config(resolved)
-    record = run_classifier(cfg, *_load_mnist(resolved))
+    record = run_classifier(cfg, *_load_mnist(resolved, cfg))
     write_run_csv(record, resolved["out"], comments=comments)
     print(f"final test accuracy: {record.final_metric!r}")
     print(f"wrote {resolved['out']}")
@@ -318,6 +320,7 @@ def cmd_fractal(resolved, comments):
                            iters=resolved["iters"], grid=resolved["grid"],
                            extent=resolved["extent"], seed=resolved["seed"])
     ds = _checked(fractal_grid, params)
+    _checked(check_widths, cfg.widths, ds)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     initial_mse = evaluate(model, ds, "regress")
     record = train(model, ds, ds, cfg)
@@ -341,7 +344,7 @@ def cmd_ablate(resolved, comments):
     if resolved["axis"] is None:
         raise UsageError("--axis is required (init, degree, norm, or kind)")
     base_cfg = _train_config(resolved)
-    rows, _ = run_ablation(resolved["axis"], base_cfg, *_load_mnist(resolved))
+    rows, _ = run_ablation(resolved["axis"], base_cfg, *_load_mnist(resolved, base_cfg))
     write_ablation_csv(rows, resolved["out"], comments=comments)
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "

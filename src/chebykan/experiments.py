@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network
-from .chebyshev import PolyKind
+from .chebyshev import PolyKind, _basis_stack
 from .data import Dataset, NormScheme, apply_norm, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
 from .ndcore import Rng
@@ -106,12 +106,6 @@ class RunRecord:
         return lines
 
 
-def _make_optimizer(cfg):
-    if cfg.optimizer == "adam":
-        return Adam(lr=cfg.lr)
-    return Sgd(lr=cfg.lr, momentum=cfg.momentum)
-
-
 def _loss_and_metric(model, ds, task, chunk=1024):
     """Full-dataset loss and metric with the model frozen (eval mode)."""
     was_training = model.training
@@ -153,15 +147,20 @@ def train(model, train_ds, test_ds, cfg):
     with the same config reproduces the trajectory exactly. A non-finite batch
     loss aborts with the offending epoch/batch named. epochs=0 or max_steps=0
     just evaluates the initialized model (a single epoch-0 row). An empty
-    train or test split raises ValueError.
+    train or test split, or one whose features or targets are not all finite,
+    raises ValueError naming the split.
     """
     cfg.validate()
     for split, ds in (("train", train_ds), ("test", test_ds)):
         if len(ds) == 0:
             raise ValueError(f"the {split} dataset is empty")
+        for name, a in (("features", ds.features), ("targets", ds.targets)):
+            # min and max propagate NaN and expose +/-inf without a mask array
+            if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise ValueError(f"the {split} dataset has non-finite {name}")
     task = "classify" if train_ds.labels is not None else "regress"
     rng = Rng(cfg.seed, "train/shuffle")
-    opt = _make_optimizer(cfg)
+    opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr, momentum=cfg.momentum)
     t0 = time.perf_counter()
     rows = []
     epochs = 0 if cfg.max_steps == 0 else cfg.epochs
@@ -203,25 +202,35 @@ def train(model, train_ds, test_ds, cfg):
                      param_count=model.param_count(), wall_time_s=wall)
 
 
+def check_widths(widths, *splits):
+    """Raise ValueError naming `widths` unless, for every split, the first
+    width is the feature width and the last is the target width or, for
+    labels, above the largest label."""
+    for ds in splits:
+        if widths[0] != ds.features.shape[1]:
+            raise ValueError(f"widths must start with the feature width "
+                             f"{ds.features.shape[1]}, got {widths[0]}")
+        if ds.labels is not None and widths[-1] <= np.max(ds.labels, initial=0):
+            raise ValueError(f"widths must end with more than {np.max(ds.labels)} "
+                             f"outputs (the largest label), got {widths[-1]}")
+        if ds.labels is None and widths[-1] != ds.targets.shape[1]:
+            raise ValueError(f"widths must end with the target width "
+                             f"{ds.targets.shape[1]}, got {widths[-1]}")
+
+
 def _forward_hp(model, x):
     """Independent extended-precision forward pass, the finite-difference oracle.
 
     Deliberately a separate implementation from the layers' own forward (einsum
     contraction instead of the reshape-matmul), run in longdouble so the
     probe's rounding noise sits well below the 1e-5 relative-error gate even
-    where a gradient entry happens to be tiny.
+    where a gradient entry happens to be tiny. The basis recurrence is shared:
+    backward assumes Chebyshev identities, so a wrong basis still shows here.
     """
     h = np.asarray(x, dtype=np.longdouble)
     for layer in model.layers:
         if isinstance(layer, ChebyKanLayer):
-            xt = np.tanh(h)
-            n1 = layer.degree + 1
-            basis = np.empty(xt.shape + (n1,), dtype=np.longdouble)
-            basis[..., 0] = 1.0
-            if layer.degree >= 1:
-                basis[..., 1] = xt if layer.kind is PolyKind.FIRST else 2.0 * xt
-                for k in range(2, n1):
-                    basis[..., k] = 2.0 * xt * basis[..., k - 1] - basis[..., k - 2]
+            basis = _basis_stack(np.tanh(h), layer.degree, layer.kind)
             h = np.einsum("bij,ioj->bo", basis, layer.coeffs.astype(np.longdouble))
         elif isinstance(layer, LayerNorm):
             mean = h.mean(axis=1, keepdims=True)
@@ -242,13 +251,13 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
     sum-of-squares loss, differencing the independent `_forward_hp` oracle.
     Relative error is |analytic - numeric| / max(1e-12, |numeric|); the
     denominator uses the actually-stored step (old+h) - (old-h), exact in
-    float64, so step representation error drops out. Degree-0 networks have
-    identically zero input gradients, which is asserted exactly instead of
-    being finite-differenced. ``corrupt=True`` flips the sign of the largest
-    analytic gradient entry — a self-test that the harness does flag a broken
-    backward pass. A non-finite relative error makes the result non-finite,
-    and a step ``h`` that is not finite and > 0, or ``trials < 1``, raises
-    ValueError, since such a run would measure nothing.
+    float64, so step representation error drops out. At degree 0 the output
+    ignores the input, so any nonzero analytic input gradient fails.
+    ``corrupt=True`` flips the sign of the largest analytic gradient entry — a
+    self-test that the harness does flag a broken backward pass. A non-finite
+    relative error makes the result non-finite, and a step ``h`` that is not
+    finite and > 0, or ``trials < 1``, raises ValueError, since such a run
+    would measure nothing.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be finite and > 0, got {h}")
@@ -300,14 +309,11 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
             rel = abs(analytic[i] - num) / max(1e-12, abs(num))
             worst = np.maximum(worst, rel)
 
-        if degree == 0:
-            worst = np.maximum(worst, float(np.max(np.abs(dLdx), initial=0.0)))
-        else:
-            xp = x.copy()
-            for i in range(x.size):
-                num = fd(xp, i, xp)
-                rel = abs(dLdx.flat[i] - num) / max(1e-12, abs(num))
-                worst = np.maximum(worst, rel)
+        xp = x.copy()
+        for i in range(x.size):
+            num = fd(xp, i, xp)
+            rel = abs(dLdx.flat[i] - num) / max(1e-12, abs(num))
+            worst = np.maximum(worst, rel)
 
     return float(worst)
 
@@ -338,8 +344,9 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
 
     The n train and test_n test samples come from the "train" and "test"
     substreams of (cfg.seed, stream), so each caller's label keeps its own
-    draws. cfg's epochs and max_steps are replaced by `steps`. Returns the
-    run record, the trained model and the test split.
+    draws, and cfg's widths are checked against them. cfg's epochs and
+    max_steps are replaced by `steps`. Returns the run record, the trained
+    model and the test split.
     """
     if test_n < 1:
         raise ValueError(f"test_n must be >= 1, got {test_n}")
@@ -348,6 +355,7 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     rng = Rng(cfg.seed, stream)
     train_ds = sample_function(target, lo, hi, n, rng.substream("train"))
     test_ds = sample_function(target, lo, hi, test_n, rng.substream("test"))
+    check_widths(cfg.widths, train_ds, test_ds)
     # every epoch takes at least one optimizer step, so `steps` epochs suffice
     cfg = replace(cfg, epochs=steps, max_steps=steps)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import ndcore
-from .chebyshev import PolyKind, _basis_stack, _derivative_stack
+from .chebyshev import PolyKind, _basis_stack
 from .ndcore import ShapeError
 
 
@@ -38,6 +38,13 @@ class ChebyKanLayer:
     ``coeffs`` has shape [input_dim, output_dim, degree+1]; the contraction is
     evaluated as a reshape-to-matmul, which the tests pin against a brute
     force triple loop.
+
+    The input gradient reads only the cached basis. With xt = tanh(x), the
+    identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
+    (1-x^2) U'_k = (k+1) U_{k-1} - k x U_k (Mason & Handscomb, *Chebyshev
+    Polynomials*, ch. 2) give dL/dx = sum_{k>=1} gb_k ((k+s) P_{k-1} - k xt P_k),
+    with gb_k = dL/dP_k and s = 0 (first kind) or 1 (second). At degree 0 the
+    sum is empty, so the input gradient is exactly zero.
     """
 
     param_names = ("coeffs",)
@@ -56,29 +63,25 @@ class ChebyKanLayer:
         self.training = True
         self._cache = None
 
-    def _coeffs_as_matrix(self):
-        # [i, o, j] -> [i*(n+1)+j, o] so the contraction is a single matmul
-        n1 = self.degree + 1
-        return self.coeffs.transpose(0, 2, 1).reshape(self.input_dim * n1, self.output_dim)
-
     def forward(self, x):
         x = ndcore.as_mat(x, self.coeffs.dtype)
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"expected input width {self.input_dim}, got {x.shape[1]}")
         xt = np.tanh(x)
         t = _basis_stack(xt, self.degree, self.kind)
-        batch = x.shape[0]
-        y = t.reshape(batch, -1) @ self._coeffs_as_matrix()
+        # [i, o, j] -> [i*(n+1)+j, o] so the contraction is a single matmul
+        w = self.coeffs.transpose(0, 2, 1).reshape(-1, self.output_dim)
+        y = t.reshape(x.shape[0], -1) @ w
         if self.training:
-            self._cache = (x, xt, t)
+            self._cache = (xt, t, w)
         return y
 
     def backward(self, dLdy):
         if self._cache is None:
             raise RuntimeError("backward called before forward (or layer is in eval mode)")
         dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype)
-        x, xt, t = self._cache
-        batch = x.shape[0]
+        xt, t, w = self._cache
+        batch = xt.shape[0]
         if dLdy.shape != (batch, self.output_dim):
             raise ShapeError(
                 f"expected cotangent shape {(batch, self.output_dim)}, got {dLdy.shape}"
@@ -86,13 +89,11 @@ class ChebyKanLayer:
         n1 = self.degree + 1
         g = t.reshape(batch, -1).T @ dLdy  # [in*(n+1), out]
         self.grad_coeffs[...] = g.reshape(self.input_dim, n1, self.output_dim).transpose(0, 2, 1)
-        if self.degree == 0:
-            # constant basis: exactly zero input gradient
-            return np.zeros_like(x)
-        db = _derivative_stack(xt, self.degree, self.kind)
-        gb = (dLdy @ self._coeffs_as_matrix().T).reshape(batch, self.input_dim, n1)
-        dLdxt = np.sum(gb * db, axis=2)
-        return dLdxt * (1.0 - xt * xt)
+        gb = (dLdy @ w.T).reshape(batch, self.input_dim, n1)[..., 1:]  # dL/dP_k, k >= 1
+        k = np.arange(1, n1, dtype=xt.dtype)
+        s = 0.0 if self.kind is PolyKind.FIRST else 1.0
+        return (np.einsum("bik,k,bik->bi", gb, k + s, t[..., :-1])
+                - xt * np.einsum("bik,k,bik->bi", gb, k, t[..., 1:]))
 
 
 def init_coeffs(layer, method, rng):

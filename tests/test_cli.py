@@ -18,11 +18,16 @@ def comments(path):
     return [l for l in path.read_text().splitlines() if l.startswith("#")]
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
     sgd_nan = tmp_path / "sgd_nan.cfg"
     sgd_nan.write_text("optimizer = sgd\nmomentum = nan\n")
     lr_nan = tmp_path / "lr_nan.cfg"
     lr_nan.write_text("lr = nan\n")
+    narrow_in = tmp_path / "narrow_in.cfg"
+    narrow_in.write_text("widths = 10,10\n")
+    few_classes = tmp_path / "few_classes.cfg"
+    few_classes.write_text("widths = 784,8,9\n")  # the fixture's labels reach 9
+    data = ["--data-dir", str(synth_mnist_dir)]
     cases = [
         (["approx", "--n", "0"], "n"),
         (["approx", "--test-n", "0"], "test_n"),
@@ -44,6 +49,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (["gradcheck", "--h", "nan"], "h"),
         (["gradcheck", "--trials", "0"], "trials"),
         (["gradcheck", "--trials", "-1"], "trials"),
+        (["approx", "--widths", "2,8,1"], "widths"),
+        (["approx", "--widths", "1,8,2"], "widths"),
+        (["fractal", "--widths", "1,8,1", "--grid", "4"], "widths"),
+        (["fractal", "--widths", "2,8,3", "--grid", "4"], "widths"),
+        (["mnist", "--config", str(narrow_in)] + data, "widths"),
+        (["mnist", "--config", str(few_classes)] + data, "widths"),
+        (["ablate", "--axis", "degree", "--config", str(narrow_in)] + data, "widths"),
     ]
     for argv, key in cases:
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1, argv

@@ -85,6 +85,18 @@ def test_empty_split_raises_value_error_naming_it():
         train(_build_for(cfg), ds, empty, cfg)
 
 
+def test_non_finite_split_raises_value_error_naming_it():
+    cfg = _small_cfg()
+    ds = _toy_regression()
+    for name, bad in (("features", np.nan), ("features", np.inf), ("targets", -np.inf)):
+        broken = Dataset(features=ds.features.copy(), targets=ds.targets.copy())
+        getattr(broken, name)[3, 0] = bad
+        with pytest.raises(ValueError, match=f"train dataset has non-finite {name}"):
+            train(_build_for(cfg), broken, ds, cfg)
+        with pytest.raises(ValueError, match=f"test dataset has non-finite {name}"):
+            train(_build_for(cfg), ds, broken, cfg)
+
+
 def test_divergence_raises_with_location():
     cfg = _small_cfg(optimizer="sgd", lr=1e200, epochs=5)
     with pytest.raises(DivergenceError, match="epoch"):
