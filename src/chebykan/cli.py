@@ -4,14 +4,14 @@ Flags merge over an optional ``key = value`` config file (flags win, unknown
 keys are rejected), and every run echoes its fully resolved configuration as
 a leading #-comment block in its output so the run can be reproduced exactly.
 The training options are derived from the fields of ``TrainConfig``.
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
-failure.
+Exit codes, which ``main`` maps from exception types: 0 success, 1 usage or
+config error (any ValueError), 2 data error, 3 numerical failure.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -21,31 +21,22 @@ from .data import (TARGETS, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
                    TRAIN_LABELS, Dataset, FractalParams, IdxFormatError,
                    dump_grid, fractal_grid, load_mnist_idx)
 from .experiments import (ABLATION_SWEEPS, FUNCTION_FIT, FUNCTION_FIT_TRAINING,
-                          DivergenceError, TrainConfig, check_widths, evaluate,
-                          fit_function, grad_check, run_ablation, run_classifier,
-                          train, write_ablation_csv, write_lines, write_run_csv)
+                          DivergenceError, TrainConfig, fit_function, grad_check,
+                          run_ablation, run_classifier, train, write_ablation_csv,
+                          write_lines, write_run_csv)
 from .ndcore import Rng
 from .network import build
 
 GRADCHECK_TOL = 1e-5
 
 
-class UsageError(Exception):
-    """Bad flags or config file; exit code 1."""
+class UsageError(ValueError):
+    """Bad flags or config file; exit code 1, like every other ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _checked(call, *args, **kwargs):
-    """call(*args, **kwargs), with a ValueError from its argument checks
-    reported as a usage error."""
-    try:
-        return call(*args, **kwargs)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +239,16 @@ def _train_config(resolved):
     names = {f.name for f in fields(TrainConfig)}
     cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in names},
                       dtype=np.float32 if resolved["f32"] else np.float64)
-    _checked(cfg.validate)
+    cfg.validate()
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # data plumbing
 
-def _load_mnist(resolved, cfg):
+def _load_mnist(resolved):
     """The train and test splits from the run's data directory, the train
-    split cut to its first `subset` examples; cfg's widths must fit both."""
+    split cut to its first `subset` examples."""
     subset = resolved["subset"]
     if subset is not None and subset < 1:
         raise UsageError(f"subset must be >= 1, got {subset}")
@@ -270,9 +261,7 @@ def _load_mnist(resolved, cfg):
     train_raw = load_mnist_idx(*paths[:2])
     train_raw = Dataset(features=train_raw.features[:subset],
                         labels=train_raw.labels[:subset])
-    test_raw = load_mnist_idx(*paths[2:])
-    _checked(check_widths, cfg.widths, train_raw, test_raw)
-    return train_raw, test_raw
+    return train_raw, load_mnist_idx(*paths[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +269,7 @@ def _load_mnist(resolved, cfg):
 
 def cmd_mnist(resolved, comments):
     cfg = _train_config(resolved)
-    record = run_classifier(cfg, *_load_mnist(resolved, cfg))
+    record = run_classifier(cfg, *_load_mnist(resolved))
     write_run_csv(record, resolved["out"], comments=comments)
     print(f"final test accuracy: {record.final_metric!r}")
     print(f"wrote {resolved['out']}")
@@ -289,10 +278,8 @@ def cmd_mnist(resolved, comments):
 
 def cmd_approx(resolved, comments):
     cfg = _train_config(resolved)
-    # cfg is valid here, so a ValueError can only come from the recipe's
-    # own argument checks, which run before any step is taken
-    record, model, test_ds = _checked(
-        fit_function, cfg, "approx", **{k: resolved[k] for k in FUNCTION_FIT})
+    record, model, test_ds = fit_function(
+        cfg, "approx", **{k: resolved[k] for k in FUNCTION_FIT})
 
     order = np.argsort(test_ds.features[:, 0])
     xs = test_ds.features[order]
@@ -319,10 +306,10 @@ def cmd_fractal(resolved, comments):
     params = FractalParams(alpha=resolved["alpha"], b=resolved["b"],
                            iters=resolved["iters"], grid=resolved["grid"],
                            extent=resolved["extent"], seed=resolved["seed"])
-    ds = _checked(fractal_grid, params)
-    _checked(check_widths, cfg.widths, ds)
+    ds = fractal_grid(params)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
-    initial_mse = evaluate(model, ds, "regress")
+    # epochs=0 runs train's data checks, then evaluates the untrained model
+    initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
     record = train(model, ds, ds, cfg)
     final_mse = record.rows[-1].test_loss
 
@@ -344,7 +331,7 @@ def cmd_ablate(resolved, comments):
     if resolved["axis"] is None:
         raise UsageError("--axis is required (init, degree, norm, or kind)")
     base_cfg = _train_config(resolved)
-    rows, _ = run_ablation(resolved["axis"], base_cfg, *_load_mnist(resolved, base_cfg))
+    rows, _ = run_ablation(resolved["axis"], base_cfg, *_load_mnist(resolved))
     write_ablation_csv(rows, resolved["out"], comments=comments)
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "
@@ -354,8 +341,7 @@ def cmd_ablate(resolved, comments):
 
 
 def cmd_gradcheck(resolved, comments):
-    err = _checked(grad_check, trials=resolved["trials"], h=resolved["h"],
-                   seed=resolved["seed"])
+    err = grad_check(trials=resolved["trials"], h=resolved["h"], seed=resolved["seed"])
     for c in comments:
         print(f"# {c}")
     print(f"max_rel_err = {err!r}")
@@ -408,15 +394,15 @@ def main(argv=None):
         resolved = resolve(args.command, opts, args)
         comments = config_lines(args.command, opts, resolved)
         return handler(resolved, comments)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (IdxFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:  # after IdxFormatError, which is a ValueError too
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -133,9 +133,10 @@ def _loss_and_metric(model, ds, task, chunk=1024):
 
 def evaluate(model, ds, task):
     """classify -> argmax-match fraction (argmax ties go to the lower class index);
-    regress -> mean squared error."""
-    if task not in ("classify", "regress"):
-        raise ValueError(f"task must be 'classify' or 'regress', got {task!r}")
+    regress -> mean squared error. Labels need classify, targets regress."""
+    fits = "classify" if ds.labels is not None else "regress"
+    if task != fits:
+        raise ValueError(f"task must be {fits!r} for this dataset, got {task!r}")
     _, metric = _loss_and_metric(model, ds, task)
     return metric
 
@@ -146,9 +147,10 @@ def train(model, train_ds, test_ds, cfg):
     Shuffle order comes from the (seed, "train/shuffle") substream, so a rerun
     with the same config reproduces the trajectory exactly. A non-finite batch
     loss aborts with the offending epoch/batch named. epochs=0 or max_steps=0
-    just evaluates the initialized model (a single epoch-0 row). An empty
-    train or test split, or one whose features or targets are not all finite,
-    raises ValueError naming the split.
+    just evaluates the initialized model (a single epoch-0 row). Before any
+    step, ValueError names the split if a split is empty or has non-finite
+    features or targets, and names `widths` unless the first width is each
+    split's feature width and the last its target width or above its labels.
     """
     cfg.validate()
     for split, ds in (("train", train_ds), ("test", test_ds)):
@@ -158,6 +160,15 @@ def train(model, train_ds, test_ds, cfg):
             # min and max propagate NaN and expose +/-inf without a mask array
             if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
                 raise ValueError(f"the {split} dataset has non-finite {name}")
+        if cfg.widths[0] != ds.features.shape[1]:
+            raise ValueError(f"widths must start with the feature width "
+                             f"{ds.features.shape[1]}, got {cfg.widths[0]}")
+        if ds.labels is not None and cfg.widths[-1] <= ds.labels.max():
+            raise ValueError(f"widths must end with more than {ds.labels.max()} "
+                             f"outputs (the largest label), got {cfg.widths[-1]}")
+        if ds.labels is None and cfg.widths[-1] != ds.targets.shape[1]:
+            raise ValueError(f"widths must end with the target width "
+                             f"{ds.targets.shape[1]}, got {cfg.widths[-1]}")
     task = "classify" if train_ds.labels is not None else "regress"
     rng = Rng(cfg.seed, "train/shuffle")
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr, momentum=cfg.momentum)
@@ -200,22 +211,6 @@ def train(model, train_ds, test_ds, cfg):
     final_metric = rows[-1].metric if rows else float("nan")
     return RunRecord(rows=rows, final_metric=final_metric,
                      param_count=model.param_count(), wall_time_s=wall)
-
-
-def check_widths(widths, *splits):
-    """Raise ValueError naming `widths` unless, for every split, the first
-    width is the feature width and the last is the target width or, for
-    labels, above the largest label."""
-    for ds in splits:
-        if widths[0] != ds.features.shape[1]:
-            raise ValueError(f"widths must start with the feature width "
-                             f"{ds.features.shape[1]}, got {widths[0]}")
-        if ds.labels is not None and widths[-1] <= np.max(ds.labels, initial=0):
-            raise ValueError(f"widths must end with more than {np.max(ds.labels)} "
-                             f"outputs (the largest label), got {widths[-1]}")
-        if ds.labels is None and widths[-1] != ds.targets.shape[1]:
-            raise ValueError(f"widths must end with the target width "
-                             f"{ds.targets.shape[1]}, got {widths[-1]}")
 
 
 def _forward_hp(model, x):
@@ -344,9 +339,8 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
 
     The n train and test_n test samples come from the "train" and "test"
     substreams of (cfg.seed, stream), so each caller's label keeps its own
-    draws, and cfg's widths are checked against them. cfg's epochs and
-    max_steps are replaced by `steps`. Returns the run record, the trained
-    model and the test split.
+    draws. cfg's epochs and max_steps are replaced by `steps`. Returns the
+    run record, the trained model and the test split.
     """
     if test_n < 1:
         raise ValueError(f"test_n must be >= 1, got {test_n}")
@@ -355,7 +349,6 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     rng = Rng(cfg.seed, stream)
     train_ds = sample_function(target, lo, hi, n, rng.substream("train"))
     test_ds = sample_function(target, lo, hi, test_n, rng.substream("test"))
-    check_widths(cfg.widths, train_ds, test_ds)
     # every epoch takes at least one optimizer step, so `steps` epochs suffice
     cfg = replace(cfg, epochs=steps, max_steps=steps)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)

@@ -153,40 +153,55 @@ def mnist_arch(degree=3, kind=PolyKind.FIRST):
     return ArchSpec(widths=list(MNIST_WIDTHS), degree=degree, kind=kind, layernorm_between=True)
 
 
+def _header(spec):
+    """The v1 header line save_network writes for spec."""
+    return f"{_HEADER_TAG} {spec.arch_string()} {spec.degree} {spec.kind.value}\n".encode()
+
+
+def _layout(layers):
+    """What a checkpoint header records of each layer: a KAN layer's widths,
+    degree and kind, a LayerNorm's width."""
+    return [(layer.input_dim, layer.output_dim, layer.degree, layer.kind)
+            if isinstance(layer, ChebyKanLayer) else layer.dim for layer in layers]
+
+
 def save_network(seq, spec, path):
     """One ASCII header line, then the parameter vector as little-endian f64.
 
     Header: ``chebykan-v1 <arch-string> <degree> <kind>``. The vector holds
     the tensors in declaration order (coefficients per KAN layer, gamma then
-    beta per LayerNorm), each flattened row-major.
+    beta per LayerNorm), each flattened row-major. A spec that does not
+    describe seq's layers raises ValueError.
     """
-    spec.validate()
-    if seq.param_count() != param_count(spec):
-        raise ValueError(
-            f"network has {seq.param_count()} parameters but spec implies {param_count(spec)}"
-        )
-    header = f"{_HEADER_TAG} {spec.arch_string()} {spec.degree} {spec.kind.value}\n"
+    if _layout(seq.layers) != _layout(build(spec).layers):
+        raise ValueError(f"network layers do not match spec {spec.arch_string()}")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_header(spec))
         fh.write(seq.flat_params.astype("<f8").tobytes())
 
 
 def load_network(path):
-    """Rebuild the (Sequential, ArchSpec) pair written by save_network."""
+    """Rebuild the (Sequential, ArchSpec) pair written by save_network. Any
+    other header, a stream of the wrong length or a non-finite value raises
+    ValueError naming the path."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
+        header = fh.readline()
         blob = fh.read()
-    parts = header.split(" ")
-    if len(parts) != 4 or parts[0] != _HEADER_TAG:
-        raise ValueError(f"unrecognized header {header!r}")
-    spec = ArchSpec.from_arch_string(parts[1])
-    if int(parts[2]) != spec.degree or PolyKind(parts[3]) != spec.kind:
-        raise ValueError(f"header degree/kind disagree with arch-string: {header!r}")
+    try:
+        spec = ArchSpec.from_arch_string(
+            header.partition(b" ")[2].split(b" ")[0].decode("ascii"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: unreadable header {header[:100]!r}: {exc}") from None
+    if header != _header(spec):
+        raise ValueError(f"{path}: header {header[:100]!r} is not the one "
+                         f"save_network writes for {spec.arch_string()}")
+    n = param_count(spec)
+    if len(blob) != 8 * n:
+        raise ValueError(f"{path}: parameter stream holds {len(blob)} bytes, "
+                         f"the header implies {8 * n}")
     flat = np.frombuffer(blob, dtype="<f8")
-    if flat.size != param_count(spec):
-        raise ValueError(
-            f"parameter stream holds {flat.size} values, spec implies {param_count(spec)}"
-        )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: parameter stream holds non-finite values")
     seq = build(spec, init=InitMethod.UNIFORM, rng=Rng(0, "load"))
     seq.flat_params[...] = flat
     return seq, spec

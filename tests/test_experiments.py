@@ -97,6 +97,21 @@ def test_non_finite_split_raises_value_error_naming_it():
             train(_build_for(cfg), ds, broken, cfg)
 
 
+def test_widths_that_do_not_fit_the_data_raise_before_any_step():
+    ds = _toy_regression()
+    model = _build_for(_small_cfg())
+    before = model.flat_params.copy()
+    digits = Dataset(features=ds.features, labels=np.arange(len(ds)) % 10)
+    for widths, train_ds, message in (
+            ([2, 8, 1], ds, "feature width 1, got 2"),
+            ([1, 8, 2], ds, "target width 1, got 2"),
+            ([1, 8, 9], digits, "more than 9 outputs"),
+    ):
+        with pytest.raises(ValueError, match=f"widths must .*{message}"):
+            train(model, train_ds, train_ds, _small_cfg(widths=widths))
+    np.testing.assert_array_equal(model.flat_params, before)
+
+
 def test_divergence_raises_with_location():
     cfg = _small_cfg(optimizer="sgd", lr=1e200, epochs=5)
     with pytest.raises(DivergenceError, match="epoch"):
@@ -154,6 +169,11 @@ def test_evaluate_regression_zero_on_exact_targets():
     assert evaluate(model, exact, "regress") == 0.0
     with pytest.raises(ValueError):
         evaluate(model, exact, "cluster")
+    with pytest.raises(ValueError, match="task"):
+        evaluate(model, exact, "classify")
+    labelled = Dataset(features=ds.features, labels=np.zeros(len(ds), dtype=np.int64))
+    with pytest.raises(ValueError, match="task"):
+        evaluate(model, labelled, "regress")
 
 
 def test_grad_check_small_run_passes():

@@ -113,6 +113,16 @@ def test_save_rejects_mismatched_spec(tmp_path):
                   InitMethod.XAVIER, Rng(0, "t"))
     with pytest.raises(ValueError):
         save_network(other, spec, tmp_path / "x.bin")
+    # same parameter count, different architecture: kind, then widths
+    first_kind = build(mnist_arch(3), InitMethod.XAVIER, Rng(0, "t"))
+    with pytest.raises(ValueError, match="do not match"):
+        save_network(first_kind, mnist_arch(3, S), tmp_path / "kind.bin")
+    model = build(ArchSpec([2, 3, 2], 1, F, layernorm_between=False),
+                  InitMethod.XAVIER, Rng(0, "t"))
+    with pytest.raises(ValueError, match="do not match"):
+        save_network(model, ArchSpec([3, 2, 3], 1, F, layernorm_between=False),
+                     tmp_path / "widths.bin")
+    assert not any(tmp_path.iterdir())
 
 
 def test_load_rejects_corruption(tmp_path):

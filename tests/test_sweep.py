@@ -3,16 +3,26 @@ kinds, batch sizes 1, 3 and 7, drawn from the package's own Rng.
 
 It reaches the corners grad_check never draws (degrees 7-8, float32), so it
 guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere.
+It also round-trips every swept architecture through a checkpoint, and feeds
+fuzzed checkpoints and IDX files to the loaders, which must reject each one
+with their documented error.
 """
+
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from chebykan import cli
 from chebykan.chebyshev import PolyKind, eval_basis, eval_basis_derivative
+from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS,
+                           IdxFormatError, idx_header_bytes, load_mnist_idx,
+                           write_idx)
 from chebykan.experiments import _forward_hp
 from chebykan.layers import InitMethod
 from chebykan.ndcore import Rng
-from chebykan.network import ArchSpec, build
+from chebykan.network import ArchSpec, build, load_network, save_network
 
 KINDS = (PolyKind.FIRST, PolyKind.SECOND)
 H = 1e-6
@@ -104,3 +114,84 @@ def test_eval_basis_derivative_matches_finite_difference(kind):
         d = eval_basis_derivative(x, 8, kind)
         fd = (eval_basis(x + H, 8, kind) - eval_basis(x - H, 8, kind)) / (2 * H)
         np.testing.assert_allclose(d, fd, rtol=1e-7, atol=1e-7)
+
+
+def test_every_swept_architecture_survives_a_checkpoint(tmp_path):
+    path, again = tmp_path / "net.bin", tmp_path / "again.bin"
+    for widths, degree, kind, x, _, init in CASES:
+        for ln in (False, True):
+            spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=ln)
+            model = build(spec, InitMethod.LECUN, init)
+            save_network(model, spec, path)
+            loaded, back = load_network(path)
+            assert back == spec
+            save_network(loaded, back, again)
+            assert again.read_bytes() == path.read_bytes(), spec
+            np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+
+
+def test_fuzzed_checkpoints_raise_value_error_naming_the_path(tmp_path):
+    r = Rng(7, "fuzz/checkpoint")
+    spec = ArchSpec([2, 3, 1], 2, PolyKind.FIRST, layernorm_between=False)
+    good = tmp_path / "good.bin"
+    save_network(build(spec, InitMethod.XAVIER, r.substream("init")), spec, good)
+    blob = good.read_bytes()
+    header, stream = blob.split(b"\n", 1)
+    bad = tmp_path / "bad.bin"
+    edits = [blob[:n] for n in range(len(blob))]
+    edits += [blob.replace(old, new, 1) for old, new in (
+        (b"chebykan-v1", b"chebykan-v2"), (b"chebykan-v1", b"chebykan"),
+        (b"chebykan-v1 ", b""), (b" 2 first", b" 3 first"), (b" 2 first", b" x first"),
+        (b" 2 first", b" 2 second"), (b" 2 first", b" 2 nope"), (b" 2 first", b" 2"),
+        (b"kind=first", b"kind=second"), (b"kind=first", b"kind=x"),
+        (b"degree=2", b"degree=-1"), (b"degree=2", b"degree=x"),
+        (b"ln=0", b"ln=2"), (b"widths=2", b"widths=+2"), (b"first", b"f\xefrst"))]
+    edits.append(blob + b"\0")
+    for value in (np.nan, np.inf, -np.inf):
+        flat = np.frombuffer(stream, dtype="<f8").copy()
+        flat[r.integers(0, flat.size)] = value
+        edits.append(header + b"\n" + flat.tobytes())
+    for edit in edits:
+        bad.write_bytes(edit)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_network(bad)
+
+
+def test_fuzzed_idx_files_raise_idx_format_error(tmp_path):
+    r = Rng(7, "fuzz/idx")
+    n = 3
+    images = r.uniform(0, 256, (n, 4, 4)).astype(np.uint8)
+    labels = r.uniform(0, 10, n).astype(np.uint8)
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx(img, images)
+    write_idx(lab, labels)
+    assert len(load_mnist_idx(img, lab)) == n
+    img_blob, lab_blob = img.read_bytes(), lab.read_bytes()
+    cases = [(img, img_blob[:k]) for k in range(len(img_blob))]
+    cases += [(lab, lab_blob[:k]) for k in range(len(lab_blob))]
+    cases += [
+        (img, IMAGES_MAGIC.to_bytes(4, "little") + img_blob[4:]),
+        (img, (IMAGES_MAGIC + 1).to_bytes(4, "big") + img_blob[4:]),
+        (img, lab_blob),  # a labels file where the images belong
+        (lab, img_blob),
+        (lab, idx_header_bytes(LABELS_MAGIC, [n - 1]) + lab_blob[8:-1]),
+        (img, idx_header_bytes(IMAGES_MAGIC, [n - 1, 4, 4]) + img_blob[16:-16]),
+        (img, img_blob + b"\0"),
+    ]
+    for path, blob in cases:
+        original = path.read_bytes()
+        path.write_bytes(blob)
+        with pytest.raises(IdxFormatError):
+            load_mnist_idx(img, lab)
+        path.write_bytes(original)
+
+
+def test_fuzzed_idx_file_exits_2(tmp_path, synth_mnist_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(synth_mnist_dir, data)
+    blob = (data / TRAIN_LABELS).read_bytes()
+    cut = Rng(7, "fuzz/cli").integers(0, len(blob))
+    (data / TRAIN_LABELS).write_bytes(blob[:cut])
+    assert cli.main(["mnist", "--data-dir", str(data), "--epochs", "0",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {data / TRAIN_LABELS}")
