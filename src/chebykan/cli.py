@@ -3,7 +3,8 @@
 Flags merge over an optional ``key = value`` config file (flags win, unknown
 keys are rejected), and every run echoes its fully resolved configuration as
 a leading #-comment block in its output so the run can be reproduced exactly.
-The training options are derived from the fields of ``TrainConfig``.
+Each command's options come from what its run consumes: the fields of
+``TrainConfig`` and ``FractalParams`` and the ``FUNCTION_FIT`` recipe.
 Exit codes, which ``main`` maps from exception types: 0 success, 1 usage or
 config error (any ValueError), 2 data error, 3 numerical failure.
 """
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (TARGETS, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
-                   TRAIN_LABELS, Dataset, FractalParams, IdxFormatError,
-                   dump_grid, fractal_grid, load_mnist_idx)
+from .data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
+                   Dataset, FractalParams, IdxFormatError, dump_grid,
+                   fractal_grid, load_mnist_idx)
 from .experiments import (ABLATION_SWEEPS, FUNCTION_FIT, FUNCTION_FIT_TRAINING,
                           DivergenceError, TrainConfig, fit_function, grad_check,
                           run_ablation, run_classifier, train, write_ablation_csv,
@@ -75,13 +76,13 @@ def _choice(*allowed):
 
 
 def _field_conv(default):
-    """The converter a TrainConfig field's default implies; a None default
-    (max_steps) means an optional int."""
+    """The converter an option's default implies; a None default (max_steps)
+    means an optional int, a tuple or list default the widths."""
     if isinstance(default, Enum):
         choose = _choice(*(m.value for m in type(default)))
         return lambda s: type(default)(choose(s))
     return {bool: _bool, int: int, float: float, str: str.strip, list: _widths,
-            type(None): _opt_int}[type(default)]
+            tuple: _widths, type(None): _opt_int}[type(default)]
 
 
 @dataclass
@@ -90,8 +91,7 @@ class Opt:
     conv: object
     default: object
     help: str = ""
-    flag: object = True    # True: value flag, "switch": bare flag, False: config-only
-    cli: str = None        # flag spelling override
+    flag: bool = True      # False: config-only; a bool option's flag is a bare switch
 
 
 def _shared_opts(out_default, f32=True):
@@ -100,29 +100,30 @@ def _shared_opts(out_default, f32=True):
         Opt("out", str.strip, out_default, "output path"),
     ]
     if f32:
-        opts.append(Opt("f32", _bool, False, "run in float32", flag="switch"))
+        opts.append(Opt("f32", _bool, False, "run in float32"))
     return opts
 
 
-_TRAIN_HELP = {"epochs": "training epochs", "batch_size": "minibatch size",
-               "lr": "learning rate", "init": "coefficient initialization",
-               "norm": "input normalization scheme", "degree": "polynomial degree",
-               "kind": "polynomial kind", "widths": "layer widths"}
+_HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "learning rate",
+         "init": "coefficient initialization", "norm": "input normalization scheme",
+         "degree": "polynomial degree", "kind": "polynomial kind", "widths": "layer widths",
+         "target": "function to fit", "lo": "domain lower edge", "hi": "domain upper edge",
+         "n": "training samples", "test_n": "test samples", "steps": "optimizer steps",
+         "alpha": "noise persistence", "b": "noise amplitude", "iters": "noise iterations",
+         "grid": "grid points per side", "extent": "half-width of the square domain"}
 
 
-def _train_opts(flags, skip=(), **defaults):
-    """One option per TrainConfig field but seed and dtype (the shared --seed
-    and --f32): the fields in `flags` are flags, the others config-only, and
-    `defaults` overrides TrainConfig's defaults."""
-    base = TrainConfig()
-    return [Opt(f.name, _field_conv(getattr(base, f.name)),
-                defaults.get(f.name, getattr(base, f.name)),
-                _TRAIN_HELP.get(f.name, ""), flag=f.name in flags,
-                cli="--batch" if f.name == "batch_size" else None)
-            for f in fields(TrainConfig)
-            if f.name not in ("seed", "dtype", *skip)]
+def _opts(defaults, flags=None, skip=()):
+    """One option per `name -> default` entry but those in `skip`, its
+    converter implied by the default: the names in `flags` are flags, the
+    others config-only (all are flags when `flags` is None)."""
+    return [Opt(name, _field_conv(d), d, _HELP.get(name, ""),
+                flag=flags is None or name in flags)
+            for name, d in defaults.items() if name not in skip]
 
 
+# seed and dtype are the shared --seed and --f32
+_TRAINING = {k: v for k, v in vars(TrainConfig()).items() if k not in ("seed", "dtype")}
 _CLASSIFIER_FLAGS = ("epochs", "batch_size", "lr", "init", "norm", "degree", "kind")
 _FIT_FLAGS = ("widths", "degree")
 _MNIST_DATA_OPTS = [
@@ -131,29 +132,21 @@ _MNIST_DATA_OPTS = [
 ]
 
 MNIST_OPTS = (_shared_opts("mnist_run.csv") + _MNIST_DATA_OPTS
-              + _train_opts(_CLASSIFIER_FLAGS))
+              + _opts(_TRAINING, _CLASSIFIER_FLAGS))
 
-APPROX_OPTS = _shared_opts("approx_dump.csv") + [
-    Opt("target", _choice(*sorted(TARGETS)), FUNCTION_FIT["target"],
-        "function to fit"),
-    Opt("lo", float, FUNCTION_FIT["lo"], "domain lower edge"),
-    Opt("hi", float, FUNCTION_FIT["hi"], "domain upper edge"),
-    Opt("n", int, FUNCTION_FIT["n"], "training samples"),
-    Opt("test_n", int, FUNCTION_FIT["test_n"], "test samples"),
-    Opt("steps", int, FUNCTION_FIT["steps"], "optimizer steps"),
-] + _train_opts(_FIT_FLAGS, skip=("epochs",), **FUNCTION_FIT_TRAINING)
+# the function and fractal fits use raw inputs, so they take no norm; approx's
+# steps sets both epochs and max_steps
+APPROX_OPTS = (_shared_opts("approx_dump.csv") + _opts(FUNCTION_FIT)
+               + _opts({**_TRAINING, **FUNCTION_FIT_TRAINING}, _FIT_FLAGS,
+                       skip=("epochs", "norm", "max_steps")))
 
-FRACTAL_OPTS = _shared_opts("fractal.csv") + [
-    Opt("alpha", float, 0.7, "noise persistence"),
-    Opt("b", float, 0.001, "noise amplitude"),
-    Opt("iters", int, 5, "noise iterations"),
-    Opt("grid", int, 64, "grid points per side"),
-    Opt("extent", float, 2.0, "half-width of the square domain"),
-] + _train_opts(_FIT_FLAGS, widths=[2, 64, 64, 1], epochs=60, lr=1e-2)
+FRACTAL_OPTS = (_shared_opts("fractal.csv") + _opts(vars(FractalParams()), skip=("seed",))
+                + _opts({**_TRAINING, "widths": [2, 64, 64, 1], "epochs": 60, "lr": 1e-2},
+                        _FIT_FLAGS, skip=("norm",)))
 
 ABLATE_OPTS = _shared_opts("ablation.csv") + [
     Opt("axis", _choice(*ABLATION_SWEEPS), None, "which axis to sweep"),
-] + _MNIST_DATA_OPTS + _train_opts(_CLASSIFIER_FLAGS)
+] + _MNIST_DATA_OPTS + _opts(_TRAINING, _CLASSIFIER_FLAGS)
 
 GRADCHECK_OPTS = _shared_opts(None, f32=False) + [
     Opt("trials", int, 100, "random configurations to test"),
@@ -182,7 +175,8 @@ def parse_config_file(path):
 
 
 def resolve(command, opts, args):
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags; the
+    keys follow the options' order."""
     raw = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -222,15 +216,10 @@ def _fmt(v):
     return str(v)
 
 
-def config_lines(command, opts, resolved):
-    """The resolved run configuration, one 'key = value' line per option."""
-    lines = [f"command = {command}"]
-    for o in opts:
-        v = resolved[o.name]
-        if v is None:
-            continue
-        lines.append(f"{o.name} = {_fmt(v)}")
-    return lines
+def config_lines(command, resolved):
+    """The resolved run configuration, one 'key = value' line per option set."""
+    return [f"command = {command}"] + [f"{k} = {_fmt(v)}" for k, v in resolved.items()
+                                       if v is not None]
 
 
 def _train_config(resolved):
@@ -301,17 +290,29 @@ def _fractal_paths(out):
     return true_path, pred_path
 
 
+def _check_out(command, out):
+    """Reject, naming `out`, a file the run could not write, before any data
+    is read or step taken; fractal writes its two grids beside `out`."""
+    if out is None:  # gradcheck without --out writes no file
+        return
+    if out.endswith(os.sep) or not Path(out).name:  # "", "." or "dir/"
+        raise UsageError(f"bad value for out: {out!r} names no file")
+    for p in _fractal_paths(out) if command == "fractal" else [Path(out)]:
+        if p.is_dir():
+            raise UsageError(f"bad value for out: {p} is a directory")
+        if not p.parent.is_dir():
+            raise UsageError(f"bad value for out: {p.parent} is not a directory")
+
+
 def cmd_fractal(resolved, comments):
     cfg = _train_config(resolved)
-    params = FractalParams(alpha=resolved["alpha"], b=resolved["b"],
-                           iters=resolved["iters"], grid=resolved["grid"],
-                           extent=resolved["extent"], seed=resolved["seed"])
+    params = FractalParams(**{f.name: resolved[f.name] for f in fields(FractalParams)})
     ds = fractal_grid(params)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     # epochs=0 runs train's data checks, then evaluates the untrained model
     initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
     record = train(model, ds, ds, cfg)
-    final_mse = record.rows[-1].test_loss
+    final_mse = record.final_metric
 
     header = [f"# {c}" for c in comments]
     true_path, pred_path = _fractal_paths(resolved["out"])
@@ -375,14 +376,11 @@ def build_parser():
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key = value config file; explicit flags win")
-        for o in opts:
-            if o.flag is True:
-                flag = o.cli or "--" + o.name.replace("_", "-")
-                p.add_argument(flag, dest=o.name, default=None,
-                               metavar=o.name.upper(), help=o.help)
-            elif o.flag == "switch":
-                p.add_argument("--" + o.name, dest=o.name, action="store_const",
-                               const="true", default=None, help=o.help)
+        for o in (o for o in opts if o.flag):
+            flag = "--batch" if o.name == "batch_size" else "--" + o.name.replace("_", "-")
+            form = (dict(action="store_const", const="true") if isinstance(o.default, bool)
+                    else dict(metavar=o.name.upper()))
+            p.add_argument(flag, dest=o.name, default=None, help=o.help, **form)
     return root
 
 
@@ -392,7 +390,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         helptext, opts, handler = COMMANDS[args.command]
         resolved = resolve(args.command, opts, args)
-        comments = config_lines(args.command, opts, resolved)
+        _check_out(args.command, resolved["out"])
+        comments = config_lines(args.command, resolved)
         return handler(resolved, comments)
     except (IdxFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -208,8 +208,7 @@ def train(model, train_ds, test_ds, cfg):
         if stop_early:
             break
     wall = time.perf_counter() - t0
-    final_metric = rows[-1].metric if rows else float("nan")
-    return RunRecord(rows=rows, final_metric=final_metric,
+    return RunRecord(rows=rows, final_metric=rows[-1].metric,
                      param_count=model.param_count(), wall_time_s=wall)
 
 

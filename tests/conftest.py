@@ -33,14 +33,21 @@ def _synth_split(n, seed):
     return images, labels
 
 
-@pytest.fixture(scope="session")
-def synth_mnist_dir(tmp_path_factory):
-    """IDX files with MNIST's exact layout but synthetic, learnable content."""
-    d = tmp_path_factory.mktemp("idx")
+def write_synth_mnist(d):
+    """Write IDX files with MNIST's exact layout but synthetic, learnable
+    content into directory d: 600 train and 200 test images. CI runs the
+    MNIST demo on them too."""
+    d = Path(d)
     tr_images, tr_labels = _synth_split(600, seed=0)
     te_images, te_labels = _synth_split(200, seed=1)
     write_idx(d / TRAIN_IMAGES, tr_images)
     write_idx(d / TRAIN_LABELS, tr_labels)
     write_idx(d / TEST_IMAGES, te_images)
     write_idx(d / TEST_LABELS, te_labels)
+
+
+@pytest.fixture(scope="session")
+def synth_mnist_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("idx")
+    write_synth_mnist(d)
     return d

@@ -65,6 +65,37 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         cli.build_parser().parse_args(["nosuchcommand"])
 
 
+def test_unwritable_out_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("the run started")
+    for name in ("_load_mnist", "fit_function", "fractal_grid", "grad_check"):
+        monkeypatch.setattr(cli, name, ran)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "f_true.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    nowhere = ["--data-dir", str(tmp_path / "nowhere")]
+    cases = [
+        ["approx", "--steps", "2000", "--out", str(tmp_path / "nodir" / "x.csv")],
+        ["approx", "--out", str(tmp_path / "adir")],
+        ["approx", "--out", str(tmp_path / "afile" / "x.csv")],
+        ["approx", "--out", str(tmp_path / "nodir") + "/"],
+        ["gradcheck", "--out", str(tmp_path / "adir")],
+        ["gradcheck", "--out", str(tmp_path / "afile" / "g.txt")],
+        ["gradcheck", "--out", ""],
+        ["mnist", *nowhere, "--out", str(tmp_path / "nodir" / "m.csv")],
+        ["ablate", "--axis", "kind", *nowhere, "--out", str(tmp_path / "afile" / "a.csv")],
+        ["fractal", "--out", str(tmp_path / "nodir" / "f.csv")],
+        ["fractal", "--out", str(tmp_path / "f.csv")],  # f_true.csv is a directory
+        ["fractal", "--out", str(tmp_path) + "/"],
+    ]
+    for argv in cases:
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out" in err, (argv, err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_data_exits_2(tmp_path):
     assert run(["mnist", "--data-dir", str(tmp_path / "nowhere")]) == 2
 
@@ -254,8 +285,8 @@ _CLASSIFIER_FLAGS = {"degree": "--degree", "kind": "--kind", "init": "--init",
                      "batch_size": "--batch", "lr": "--lr"}
 _CLASSIFIER_CONFIG_ONLY = {"widths", "optimizer", "momentum", "layernorm",
                            "max_steps"}
-_FIT_CONFIG_ONLY = {"kind", "init", "batch_size", "lr", "norm", "optimizer",
-                    "momentum", "layernorm", "max_steps"}
+_FIT_CONFIG_ONLY = {"kind", "init", "batch_size", "lr", "optimizer",
+                    "momentum", "layernorm"}
 
 # command -> (flags of the run, keys it overrides, value flags, config-only
 # keys, echoed defaults of every other key). Keys absent from the echo
@@ -274,17 +305,17 @@ _INTERFACE = {
         _FIT_CONFIG_ONLY,
         {"target": "sin_plus_sq", "lo": "-2.0", "hi": "2.0", "widths": "1,8,1",
          "degree": "4", "kind": "first", "init": "xavier", "batch_size": "64",
-         "lr": "0.01", "norm": "tanh", "optimizer": "adam", "momentum": "0.9",
+         "lr": "0.01", "optimizer": "adam", "momentum": "0.9",
          "layernorm": "true"},
     ),
     "fractal": (
         ["--grid", "4"], {"grid"},
         {"alpha": "--alpha", "b": "--b", "iters": "--iters", "grid": "--grid",
          "extent": "--extent", "widths": "--widths", "degree": "--degree"},
-        _FIT_CONFIG_ONLY | {"epochs"},
+        _FIT_CONFIG_ONLY | {"epochs", "max_steps"},
         {"alpha": "0.7", "b": "0.001", "iters": "5", "extent": "2.0",
          "widths": "2,64,64,1", "degree": "3", "kind": "first", "init": "xavier",
-         "epochs": "60", "batch_size": "64", "lr": "0.01", "norm": "tanh",
+         "epochs": "60", "batch_size": "64", "lr": "0.01",
          "optimizer": "adam", "momentum": "0.9", "layernorm": "true"},
     ),
     "ablate": (
@@ -332,3 +363,42 @@ def test_command_interface_is_pinned(command, tmp_path, synth_mnist_dir, capsys)
     assert echoed.pop("out") == str(out)
     echoed = {k: v for k, v in echoed.items() if k in keys - overridden}
     assert echoed == {"seed": "42", **({"f32": "false"} if training else {}), **echo}
+
+
+# a value other than the base run's for every key approx and fractal accept
+# but out; momentum is read only by sgd, so its run and its baseline both
+# set optimizer = sgd
+_BASE_RUN = {"approx": {"steps": "5", "n": "16", "test_n": "8"},
+             "fractal": {"grid": "4", "widths": "2,4,1", "epochs": "2"}}
+_TRAINING_ALTERED = {"seed": "7", "f32": "true", "kind": "second",
+                     "init": "he", "batch_size": "4", "lr": "0.02",
+                     "optimizer": "sgd", "momentum": "0.5", "layernorm": "false"}
+_ALTERED = {
+    "approx": {**_TRAINING_ALTERED, "target": "step", "lo": "-1.5", "hi": "1.5",
+               "n": "17", "test_n": "9", "steps": "4", "widths": "1,4,1",
+               "degree": "3"},
+    "fractal": {**_TRAINING_ALTERED, "alpha": "0.5", "b": "0.1", "iters": "4",
+                "grid": "5", "extent": "1.5", "widths": "2,5,1", "degree": "4",
+                "epochs": "3", "max_steps": "1"},  # one step per epoch at grid 4
+}
+_CONTEXT = {"momentum": {"optimizer": "sgd"}}
+
+
+@pytest.mark.parametrize("command", list(_ALTERED))
+def test_every_accepted_key_reaches_the_run(command, tmp_path):
+    """A key no run reads would write the base run's body."""
+    keys = {o.name for o in cli.COMMANDS[command][1]} - {"out"}
+    assert keys == set(_ALTERED[command])
+
+    def run_body(entries):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n"
+                               for k, v in {**_BASE_RUN[command], **entries}.items()))
+        out = tmp_path / "k.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, entries
+        return [body(p) for p in (cli._fractal_paths(out) if command == "fractal"
+                                  else [out])]
+
+    for key in sorted(keys):
+        context = _CONTEXT.get(key, {})
+        assert run_body({**context, key: _ALTERED[command][key]}) != run_body(context), key
