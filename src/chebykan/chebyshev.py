@@ -26,18 +26,23 @@ class PolyKind(Enum):
 
 
 def _basis_stack(x, degree, kind):
-    """P_0..P_degree of every element of x, stacked along a new last axis.
+    """P_0..P_degree of every element of x, stacked along a new axis just
+    before x's last one: a [batch, in] input gives [batch, degree+1, in] and a
+    vector [n] gives [degree+1, n]. x needs at least one axis.
 
-    The stack has x's dtype: a Python float or a float64 array gives float64,
-    a float32 array float32.
+    Each P_k fills its own contiguous slab in place, from 2x computed once.
+    The stack has x's dtype: a float64 array gives float64, a float32 array
+    float32.
     """
     x = np.asarray(x)
-    out = np.empty(x.shape + (degree + 1,), dtype=x.dtype)
-    out[..., 0] = 1.0
+    out = np.empty(x.shape[:-1] + (degree + 1,) + x.shape[-1:], dtype=x.dtype)
+    out[..., 0, :] = 1.0  # out[..., k, :] is P_k, shaped like x
     if degree >= 1:
-        out[..., 1] = x if kind is PolyKind.FIRST else 2.0 * x
+        x2 = 2.0 * x
+        out[..., 1, :] = x if kind is PolyKind.FIRST else x2
         for k in range(2, degree + 1):
-            out[..., k] = 2.0 * x * out[..., k - 1] - out[..., k - 2]
+            p = np.multiply(x2, out[..., k - 1, :], out=out[..., k, :])
+            p -= out[..., k - 2, :]
     return out
 
 
@@ -47,7 +52,7 @@ def eval_basis(x, degree, kind=PolyKind.FIRST):
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return _basis_stack(float(x), degree, kind)
+    return _basis_stack([float(x)], degree, kind)[:, 0]
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
@@ -119,4 +124,4 @@ def orthogonality_integral(m, n, kind=PolyKind.FIRST, nodes=64):
         )
     x, w = gauss_chebyshev(nodes, kind)
     vals = _basis_stack(x, max(m, n), kind)
-    return float(np.sum(w * vals[..., m] * vals[..., n]))
+    return float(np.sum(w * vals[m] * vals[n]))

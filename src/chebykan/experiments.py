@@ -225,7 +225,7 @@ def _forward_hp(model, x):
     for layer in model.layers:
         if isinstance(layer, ChebyKanLayer):
             basis = _basis_stack(np.tanh(h), layer.degree, layer.kind)
-            h = np.einsum("bij,ioj->bo", basis, layer.coeffs.astype(np.longdouble))
+            h = np.einsum("bji,ioj->bo", basis, layer.coeffs.astype(np.longdouble))
         elif isinstance(layer, LayerNorm):
             mean = h.mean(axis=1, keepdims=True)
             var = np.mean((h - mean) ** 2, axis=1, keepdims=True)

@@ -35,9 +35,11 @@ class ChebyKanLayer:
     The tanh squashes every layer's input into (-1, 1) before the basis is
     built — it is part of the layer, not a dataset preprocessing step, so
     hidden activations stay in the range where the basis is well behaved.
-    ``coeffs`` has shape [input_dim, output_dim, degree+1]; the contraction is
-    evaluated as a reshape-to-matmul, which the tests pin against a brute
-    force triple loop.
+    ``coeffs`` has shape [input_dim, output_dim, degree+1], the checkpoint
+    order. The basis is degree-major, [batch, degree+1, input_dim], so the
+    contraction is one matmul against the coefficients laid out with row
+    ``j*input_dim + i`` holding ``coeffs[i, :, j]``; the tests pin it against
+    a brute force triple loop.
 
     The input gradient reads only the cached basis. With xt = tanh(x), the
     identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -69,8 +71,9 @@ class ChebyKanLayer:
             raise ShapeError(f"expected input width {self.input_dim}, got {x.shape[1]}")
         xt = np.tanh(x)
         t = _basis_stack(xt, self.degree, self.kind)
-        # [i, o, j] -> [i*(n+1)+j, o] so the contraction is a single matmul
-        w = self.coeffs.transpose(0, 2, 1).reshape(-1, self.output_dim)
+        # [i, o, j] -> [j*in + i, o], the basis's [b, j, i] order, so the
+        # contraction is a single matmul
+        w = self.coeffs.transpose(2, 0, 1).reshape(-1, self.output_dim)
         y = t.reshape(x.shape[0], -1) @ w
         if self.training:
             self._cache = (xt, t, w)
@@ -87,13 +90,13 @@ class ChebyKanLayer:
                 f"expected cotangent shape {(batch, self.output_dim)}, got {dLdy.shape}"
             )
         n1 = self.degree + 1
-        g = t.reshape(batch, -1).T @ dLdy  # [in*(n+1), out]
-        self.grad_coeffs[...] = g.reshape(self.input_dim, n1, self.output_dim).transpose(0, 2, 1)
-        gb = (dLdy @ w.T).reshape(batch, self.input_dim, n1)[..., 1:]  # dL/dP_k, k >= 1
+        g = t.reshape(batch, -1).T @ dLdy  # [(n+1)*in, out]
+        self.grad_coeffs[...] = g.reshape(n1, self.input_dim, self.output_dim).transpose(1, 2, 0)
+        gb = (dLdy @ w.T).reshape(batch, n1, self.input_dim)[:, 1:]  # dL/dP_k, k >= 1
         k = np.arange(1, n1, dtype=xt.dtype)
         s = 0.0 if self.kind is PolyKind.FIRST else 1.0
-        return (np.einsum("bik,k,bik->bi", gb, k + s, t[..., :-1])
-                - xt * np.einsum("bik,k,bik->bi", gb, k, t[..., 1:]))
+        return (np.einsum("bki,k,bki->bi", gb, k + s, t[:, :-1])
+                - xt * np.einsum("bki,k,bki->bi", gb, k, t[:, 1:]))
 
 
 def init_coeffs(layer, method, rng):
@@ -160,10 +163,10 @@ class LayerNorm:
         x = ndcore.as_mat(x, self.gamma.dtype)
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected input width {self.dim}, got {x.shape[1]}")
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
+        d = x - x.mean(axis=1, keepdims=True)
+        var = np.mean(d * d, axis=1, keepdims=True)  # np.var's own steps
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv
+        xhat = d * inv
         if self.training:
             self._cache = (xhat, inv)
         return self.gamma * xhat + self.beta

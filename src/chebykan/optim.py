@@ -43,7 +43,11 @@ def softmax_cross_entropy(logits, labels):
 
 
 class Adam:
-    """Bias-corrected adaptive moment estimation."""
+    """Bias-corrected adaptive moment estimation.
+
+    A step allocates nothing: the moments and two scratch arrays for the
+    update's temporaries are made on the first step and reused.
+    """
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -57,6 +61,7 @@ class Adam:
         self.t = 0
         self.m = None
         self.v = None
+        self._scratch = None
 
     def step(self, params, grads):
         if params.shape != grads.shape:
@@ -64,14 +69,25 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+            self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grads * grads)
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        m, v = self.m, self.v
+        num, den = self._scratch
+        # the textbook update, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), one
+        # ufunc at a time in the same order, into the two scratch arrays
+        m *= self.beta1
+        m += np.multiply(grads, 1.0 - self.beta1, out=num)
+        v *= self.beta2
+        np.multiply(grads, grads, out=num)
+        v += np.multiply(num, 1.0 - self.beta2, out=num)
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
+        den += self.eps
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        num /= den
+        params -= num
 
 
 class Sgd:

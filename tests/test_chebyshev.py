@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chebykan.chebyshev import (PolyKind, eval_basis, eval_basis_derivative,
-                                extrema, gauss_chebyshev,
+from chebykan.chebyshev import (PolyKind, _basis_stack, eval_basis,
+                                eval_basis_derivative, extrema, gauss_chebyshev,
                                 orthogonality_integral, roots)
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -145,6 +145,20 @@ def test_orthogonality_second_kind():
 def test_orthogonality_needs_enough_nodes():
     with pytest.raises(ValueError):
         orthogonality_integral(40, 40, F, nodes=64)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", [F, S])
+def test_basis_stack_is_the_recurrence_degree_major_exactly(kind, dtype):
+    x = np.random.default_rng(3).uniform(-1.3, 1.3, (6, 5)).astype(dtype)
+    for degree in range(9):
+        p = [np.ones_like(x), x if kind is F else 2.0 * x]
+        while len(p) <= degree:
+            p.append(2.0 * x * p[-1] - p[-2])
+        expect = np.moveaxis(np.stack(p[:degree + 1], axis=-1), -1, -2)
+        got = _basis_stack(x, degree, kind)
+        assert got.shape == (6, degree + 1, 5) and got.dtype == dtype
+        np.testing.assert_array_equal(got, expect)
 
 
 def test_input_validation():

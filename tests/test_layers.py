@@ -141,6 +141,16 @@ def test_layernorm_normalizes_then_affines():
     np.testing.assert_allclose(y2, 2.0 * y - 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layernorm_forward_is_the_np_var_expression_exactly(dtype):
+    ln = LayerNorm(24, dtype=dtype)
+    x = Rng(5, "x").normal(3.0, 5.0, (33, 24)).astype(dtype)
+    x[0] = 7.0  # a constant row: zero variance, output exactly beta
+    expect = (x - x.mean(1, keepdims=True)) * (1.0 / np.sqrt(x.var(1, keepdims=True) + ln.eps))
+    np.testing.assert_array_equal(ln.forward(x), expect)
+    assert not ln.forward(x)[0].any()
+
+
 def test_layernorm_backward_matches_finite_difference():
     ln = LayerNorm(5)
     ln.gamma[:] = Rng(6, "g").uniform(0.5, 1.5, 5)

@@ -126,3 +126,24 @@ def test_optimizers_update_in_place():
     ref = p
     Adam(lr=0.1).step(p, np.ones(3))
     assert p is ref and not np.all(p == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_matches_the_textbook_update_exactly(dtype):
+    lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(11)
+    p = rng.normal(0.0, 1.0, 257).astype(dtype)
+    ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 51):
+        # gradients over several orders of magnitude, some exactly zero
+        g = (rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.uniform(-6, 2, p.size)).astype(dtype)
+        g[rng.integers(0, p.size, 5)] = 0.0
+        opt.step(p, g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        ref = ref - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p, ref)
+    np.testing.assert_array_equal(opt.m, m)
+    np.testing.assert_array_equal(opt.v, v)
