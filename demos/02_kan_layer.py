@@ -4,9 +4,13 @@ Anatomy of one Chebyshev KAN layer
 
 A layer holds a coefficient tensor C of shape [in, out, degree+1]. The forward
 pass squashes inputs through tanh, expands each squashed feature in the
-polynomial basis (a [batch, in, degree+1] tensor), and contracts:
+polynomial basis, and contracts. The layer builds its basis degree-major, a
+[batch, degree+1, in] tensor T, so the contraction is a single matmul:
 
-    y[b, o] = sum_i sum_j T[b, i, j] * C[i, o, j]
+    y[b, o] = sum_j sum_i T[b, j, i] * C[i, o, j]
+
+Below, the same contraction is spelled out by hand on a [batch, in, degree+1]
+basis built one value at a time.
 
 Backward is hand-derived, so here we audit it against finite differences.
 """

@@ -9,19 +9,13 @@ a few hundred parameters yet lands around 1e-4 test MSE.
 
 import numpy as np
 
-from chebykan import InitMethod, Rng, TrainConfig, build, sample_function
-from chebykan.experiments import train
+from chebykan import TrainConfig
+from chebykan.experiments import FUNCTION_FIT, FUNCTION_FIT_TRAINING, fit_function
 
-rng = Rng(42, "approx")
-train_ds = sample_function("sin_plus_sq", -2.0, 2.0, 2000, rng.substream("train"))
-test_ds = sample_function("sin_plus_sq", -2.0, 2.0, 500, rng.substream("test"))
-
-cfg = TrainConfig(epochs=10 ** 6, max_steps=2000, batch_size=64, lr=1e-2,
-                  seed=42, degree=4, widths=[1, 8, 1])
-model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+# the recipe `chebykan approx` runs at its defaults, seed 42 included
+record, model, _ = fit_function(TrainConfig(seed=42, **FUNCTION_FIT_TRAINING),
+                                "approx", **FUNCTION_FIT)
 print(f"parameters: {model.param_count()}")
-
-record = train(model, train_ds, test_ds, cfg)
 for row in record.rows[::10]:
     print(f"epoch {row.epoch:3d}  train {row.train_loss:.6f}  test {row.metric:.6f}")
 print(f"final test MSE: {record.final_metric:.3e}")

@@ -3,6 +3,8 @@
 Flags merge over an optional ``key = value`` config file (flags win, unknown
 keys are rejected), and every run echoes its fully resolved configuration as
 a leading #-comment block in its output so the run can be reproduced exactly.
+Each command returns its exit code and the lines of each output file; ``main``
+alone names, checks and writes those files.
 Each command's options come from what its run consumes: the fields of
 ``TrainConfig`` and ``FractalParams`` and the ``FUNCTION_FIT`` recipe.
 Exit codes, which ``main`` maps from exception types: 0 success, 1 usage or
@@ -19,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
-                   Dataset, FractalParams, IdxFormatError, dump_grid,
-                   fractal_grid, load_mnist_idx)
+                   Dataset, FractalParams, IdxFormatError, fractal_grid,
+                   grid_lines, load_mnist_idx)
 from .experiments import (ABLATION_SWEEPS, FUNCTION_FIT, FUNCTION_FIT_TRAINING,
-                          DivergenceError, TrainConfig, fit_function, grad_check,
-                          run_ablation, run_classifier, train, write_ablation_csv,
-                          write_lines, write_run_csv)
+                          DivergenceError, TrainConfig, ablation_csv_lines,
+                          fit_function, grad_check, run_ablation, run_classifier,
+                          train)
 from .ndcore import Rng
 from .network import build
 
@@ -254,18 +256,36 @@ def _load_mnist(resolved):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, one list of lines per output file)
 
-def cmd_mnist(resolved, comments):
-    cfg = _train_config(resolved)
-    record = run_classifier(cfg, *_load_mnist(resolved))
-    write_run_csv(record, resolved["out"], comments=comments)
+def _outputs(command, out):
+    """The files the run writes, named from `out`: fractal's `_true` and
+    `_pred` grids beside it, none for gradcheck without --out. Rejects, naming
+    `out`, any the run could not write, before any data is read or step taken."""
+    if out is None:
+        return []
+    if out.endswith(os.sep) or not Path(out).name:  # "", "." or "dir/"
+        raise UsageError(f"bad value for out: {out!r} names no file")
+    paths = [out]  # as given, so `wrote` echoes it verbatim
+    if command == "fractal":
+        base = Path(out)
+        paths = [str(base.with_name(base.stem + tag + (base.suffix or ".csv")))
+                 for tag in ("_true", "_pred")]
+    for p in map(Path, paths):
+        if p.is_dir():
+            raise UsageError(f"bad value for out: {p} is a directory")
+        if not p.parent.is_dir():
+            raise UsageError(f"bad value for out: {p.parent} is not a directory")
+    return paths
+
+
+def cmd_mnist(resolved):
+    record = run_classifier(_train_config(resolved), *_load_mnist(resolved))
     print(f"final test accuracy: {record.final_metric!r}")
-    print(f"wrote {resolved['out']}")
-    return 0
+    return 0, [record.csv_lines()]
 
 
-def cmd_approx(resolved, comments):
+def cmd_approx(resolved):
     cfg = _train_config(resolved)
     record, model, test_ds = fit_function(
         cfg, "approx", **{k: resolved[k] for k in FUNCTION_FIT})
@@ -276,84 +296,47 @@ def cmd_approx(resolved, comments):
     pred = model.forward(xs)
     rows = [f"{float(x)!r},{float(t)!r},{float(p)!r}"
             for x, t, p in zip(xs[:, 0], test_ds.targets[order][:, 0], pred[:, 0])]
-    write_lines(resolved["out"], comments, ["x,y_true,y_pred"] + rows)
     print(f"final test MSE: {record.final_metric!r}")
-    print(f"wrote {resolved['out']}")
-    return 0
+    return 0, [["x,y_true,y_pred"] + rows]
 
 
-def _fractal_paths(out):
-    base = Path(out)
-    suffix = base.suffix or ".csv"
-    true_path = base.with_name(base.stem + "_true" + suffix)
-    pred_path = base.with_name(base.stem + "_pred" + suffix)
-    return true_path, pred_path
-
-
-def _check_out(command, out):
-    """Reject, naming `out`, a file the run could not write, before any data
-    is read or step taken; fractal writes its two grids beside `out`."""
-    if out is None:  # gradcheck without --out writes no file
-        return
-    if out.endswith(os.sep) or not Path(out).name:  # "", "." or "dir/"
-        raise UsageError(f"bad value for out: {out!r} names no file")
-    for p in _fractal_paths(out) if command == "fractal" else [Path(out)]:
-        if p.is_dir():
-            raise UsageError(f"bad value for out: {p} is a directory")
-        if not p.parent.is_dir():
-            raise UsageError(f"bad value for out: {p.parent} is not a directory")
-
-
-def cmd_fractal(resolved, comments):
+def cmd_fractal(resolved):
     cfg = _train_config(resolved)
     params = FractalParams(**{f.name: resolved[f.name] for f in fields(FractalParams)})
     ds = fractal_grid(params)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     # epochs=0 runs train's data checks, then evaluates the untrained model
     initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
-    record = train(model, ds, ds, cfg)
-    final_mse = record.final_metric
-
-    header = [f"# {c}" for c in comments]
-    true_path, pred_path = _fractal_paths(resolved["out"])
-    dump_grid(ds, true_path, header_comments=header)
+    final_mse = train(model, ds, ds, cfg).final_metric
     model.eval()
     pred_ds = Dataset(features=ds.features, targets=model.forward(ds.features))
-    dump_grid(pred_ds, pred_path, header_comments=header)
 
     ratio = final_mse / initial_mse if initial_mse > 0 else float("nan")
     print(f"initial MSE: {initial_mse!r}")
     print(f"final MSE:   {final_mse!r}  (ratio {ratio!r})")
-    print(f"wrote {true_path} and {pred_path}")
-    return 0
+    return 0, [grid_lines(ds), grid_lines(pred_ds)]
 
 
-def cmd_ablate(resolved, comments):
+def cmd_ablate(resolved):
     if resolved["axis"] is None:
         raise UsageError("--axis is required (init, degree, norm, or kind)")
-    base_cfg = _train_config(resolved)
-    rows, _ = run_ablation(resolved["axis"], base_cfg, *_load_mnist(resolved))
-    write_ablation_csv(rows, resolved["out"], comments=comments)
+    rows, _ = run_ablation(resolved["axis"], _train_config(resolved), *_load_mnist(resolved))
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "
               f"{r.param_count} params")
-    print(f"wrote {resolved['out']}")
-    return 0
+    return 0, [ablation_csv_lines(rows)]
 
 
-def cmd_gradcheck(resolved, comments):
+def cmd_gradcheck(resolved):
     err = grad_check(trials=resolved["trials"], h=resolved["h"], seed=resolved["seed"])
-    for c in comments:
+    for c in config_lines("gradcheck", resolved):
         print(f"# {c}")
     print(f"max_rel_err = {err!r}")
-    if resolved["out"]:
-        write_lines(resolved["out"], comments, ["max_rel_err", repr(err)])
-        print(f"wrote {resolved['out']}")
-    if not err <= GRADCHECK_TOL:  # a NaN error fails too
+    passed = err <= GRADCHECK_TOL  # a NaN error fails too
+    if not passed:
         print(f"FAIL: max relative error {err!r} exceeds {GRADCHECK_TOL}",
               file=sys.stderr)
-        return 3
-    return 0
+    return 0 if passed else 3, [["max_rel_err", repr(err)]]
 
 
 COMMANDS = {
@@ -390,9 +373,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
         helptext, opts, handler = COMMANDS[args.command]
         resolved = resolve(args.command, opts, args)
-        _check_out(args.command, resolved["out"])
-        comments = config_lines(args.command, resolved)
-        return handler(resolved, comments)
+        paths = _outputs(args.command, resolved["out"])
+        code, bodies = handler(resolved)
+        echo = [f"# {c}" for c in config_lines(args.command, resolved)]
+        for path, lines in zip(paths, bodies):
+            Path(path).write_text("\n".join(echo + lines) + "\n")
+        if paths:
+            print(f"wrote {' and '.join(paths)}")
+        return code
     except (IdxFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2

@@ -233,11 +233,9 @@ def fractal_grid(params):
     return Dataset(features=feats, targets=z.reshape(-1, 1))
 
 
-def dump_grid(ds, path, header_comments=()):
+def grid_lines(ds):
     """Plain-text grid dump, one `x y z` line per point, for external plotting."""
     if ds.targets is None or ds.features.shape[1] != 2:
         raise ValueError("grid dump needs 2-D features and targets")
-    lines = list(header_comments)
-    for (x, y), z in zip(ds.features, ds.targets[:, 0]):
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return [f"{float(x)!r} {float(y)!r} {float(z)!r}"
+            for (x, y), z in zip(ds.features, ds.targets[:, 0])]

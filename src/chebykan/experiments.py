@@ -4,7 +4,8 @@ Runs are deterministic for a fixed seed: shuffle order, initialization, and
 the fractal/function data all come from named substreams of the run seed.
 CSV schemas (exact headers): per-epoch runs use
 ``epoch,train_loss,test_loss,metric``; ablations use
-``axis_value,test_accuracy,test_loss,param_count,wall_time_s``.
+``axis_value,test_accuracy,test_loss,param_count,wall_time_s``. This module
+formats those CSVs as lines and writes no file.
 """
 
 import math
@@ -100,10 +101,10 @@ class RunRecord:
     wall_time_s: float
 
     def csv_lines(self):
-        lines = [RUN_CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.epoch},{r.train_loss!r},{r.test_loss!r},{r.metric!r}")
-        return lines
+        """The per-epoch CSV, then the wall time as a trailing comment."""
+        return ([RUN_CSV_HEADER]
+                + [f"{r.epoch},{r.train_loss!r},{r.test_loss!r},{r.metric!r}" for r in self.rows]
+                + [f"# wall_time_s = {self.wall_time_s!r}"])
 
 
 def _loss_and_metric(model, ds, task, chunk=1024):
@@ -149,10 +150,12 @@ def train(model, train_ds, test_ds, cfg):
     loss aborts with the offending epoch/batch named. epochs=0 or max_steps=0
     just evaluates the initialized model (a single epoch-0 row). Before any
     step, ValueError names the split if a split is empty or has non-finite
-    features or targets, and names `widths` unless the first width is each
-    split's feature width and the last its target width or above its labels.
+    features or targets, and names `widths` unless the model's first width is
+    each split's feature width and its last the target width or above the
+    labels.
     """
     cfg.validate()
+    first, last = model.layers[0].input_dim, model.layers[-1].output_dim
     for split, ds in (("train", train_ds), ("test", test_ds)):
         if len(ds) == 0:
             raise ValueError(f"the {split} dataset is empty")
@@ -160,15 +163,15 @@ def train(model, train_ds, test_ds, cfg):
             # min and max propagate NaN and expose +/-inf without a mask array
             if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
                 raise ValueError(f"the {split} dataset has non-finite {name}")
-        if cfg.widths[0] != ds.features.shape[1]:
+        if first != ds.features.shape[1]:
             raise ValueError(f"widths must start with the feature width "
-                             f"{ds.features.shape[1]}, got {cfg.widths[0]}")
-        if ds.labels is not None and cfg.widths[-1] <= ds.labels.max():
+                             f"{ds.features.shape[1]}, got {first}")
+        if ds.labels is not None and last <= ds.labels.max():
             raise ValueError(f"widths must end with more than {ds.labels.max()} "
-                             f"outputs (the largest label), got {cfg.widths[-1]}")
-        if ds.labels is None and cfg.widths[-1] != ds.targets.shape[1]:
+                             f"outputs (the largest label), got {last}")
+        if ds.labels is None and last != ds.targets.shape[1]:
             raise ValueError(f"widths must end with the target width "
-                             f"{ds.targets.shape[1]}, got {cfg.widths[-1]}")
+                             f"{ds.targets.shape[1]}, got {last}")
     task = "classify" if train_ds.labels is not None else "regress"
     rng = Rng(cfg.seed, "train/shuffle")
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr, momentum=cfg.momentum)
@@ -320,10 +323,6 @@ class AblationRow:
     param_count: int
     wall_time_s: float
 
-    def csv_line(self):
-        return (f"{self.axis_value},{self.test_accuracy!r},{self.test_loss!r},"
-                f"{self.param_count},{self.wall_time_s!r}")
-
 
 def run_classifier(cfg, train_raw, test_raw):
     """Normalize (train stats reused for test), build, train; returns the record."""
@@ -390,16 +389,8 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
     return rows, records
 
 
-def write_run_csv(record, path, comments=()):
-    write_lines(path, comments, record.csv_lines()
-                + [f"# wall_time_s = {record.wall_time_s!r}"])
-
-
-def write_ablation_csv(rows, path, comments=()):
-    write_lines(path, comments, [ABLATION_CSV_HEADER] + [r.csv_line() for r in rows])
-
-
-def write_lines(path, comments, lines):
-    """Write the comments as `# ` lines, then `lines`, each newline-terminated."""
-    with open(path, "w") as fh:
-        fh.write("\n".join([f"# {c}" for c in comments] + lines) + "\n")
+def ablation_csv_lines(rows):
+    """The ablation CSV, one line per swept value in sweep order."""
+    return [ABLATION_CSV_HEADER] + [
+        f"{r.axis_value},{r.test_accuracy!r},{r.test_loss!r},{r.param_count},{r.wall_time_s!r}"
+        for r in rows]

@@ -48,21 +48,15 @@ class Rng:
     def substream(self, label):
         return Rng(self.seed, f"{self.stream}/{label}")
 
-    def uniform(self, low=0.0, high=1.0, shape=None):
+    def uniform(self, low, high, shape):
         if low > high:
             raise ValueError(f"uniform needs low <= high, got [{low}, {high}]")
-        out = self._gen.uniform(low, high, shape)
-        if shape is None:
-            return float(out)
-        return out
+        return self._gen.uniform(low, high, shape)
 
-    def normal(self, mean=0.0, std=1.0, shape=None):
+    def normal(self, mean, std, shape):
         if std < 0:
             raise ValueError(f"normal needs std >= 0, got {std}")
-        out = self._gen.normal(mean, std, shape)
-        if shape is None:
-            return float(out)
-        return out
+        return self._gen.normal(mean, std, shape)
 
     def permutation(self, n):
         return self._gen.permutation(n)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ def run(args):
 
 def body(path):
     """CSV lines with comments stripped (wall time lives in a comment)."""
-    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
 
 
 def comments(path):
@@ -213,11 +215,17 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
     assert float(lines[1]) <= 1e-5
 
 
-def test_gradcheck_failure_exits_3(monkeypatch, capsys):
+def test_gradcheck_failure_exits_3(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "g.txt"
     for err in (1.0, float("nan")):
         monkeypatch.setattr(cli, "grad_check", lambda **kw: err)
         assert run(["gradcheck", "--trials", "1"]) == 3
         assert "FAIL" in capsys.readouterr().err
+        # a failed audit still writes its --out file
+        assert run(["gradcheck", "--trials", "1", "--out", str(out)]) == 3
+        assert body(out) == ["max_rel_err", repr(err)]
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and captured.out.splitlines()[-1] == f"wrote {out}"
 
 
 def test_divergence_exits_3(tmp_path):
@@ -396,9 +404,48 @@ def test_every_accepted_key_reaches_the_run(command, tmp_path):
                                for k, v in {**_BASE_RUN[command], **entries}.items()))
         out = tmp_path / "k.csv"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, entries
-        return [body(p) for p in (cli._fractal_paths(out) if command == "fractal"
-                                  else [out])]
+        return [body(p) for p in cli._outputs(command, str(out))]
 
     for key in sorted(keys):
         context = _CONTEXT.get(key, {})
         assert run_body({**context, key: _ALTERED[command][key]}) != run_body(context), key
+
+
+# one run of each command, small; fractal's epochs and widths are config-only
+_SMALL_RUN = {
+    "mnist": (["--data-dir", "{idx}", "--subset", "64", "--epochs", "1"],
+              "epoch,train_loss,test_loss,metric"),
+    "approx": (["--steps", "5", "--n", "16", "--test-n", "8"], "x,y_true,y_pred"),
+    "fractal": (["--grid", "4", "--config", "{cfg}"], None),
+    "ablate": (["--axis", "norm", "--data-dir", "{idx}", "--subset", "64", "--epochs", "1"],
+               "axis_value,test_accuracy,test_loss,param_count,wall_time_s"),
+    "gradcheck": (["--trials", "1"], "max_rel_err"),
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUN))
+def test_every_output_file_is_the_echo_block_then_the_body(command, tmp_path,
+                                                           synth_mnist_dir, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("epochs = 1\nwidths = 2,4,1\n")
+    out = tmp_path / "out.csv"
+    args, header = _SMALL_RUN[command]
+    argv = [command, *(a.format(idx=synth_mnist_dir, cfg=cfg) for a in args),
+            "--out", str(out)]
+    assert run(argv) == 0
+    resolved = cli.resolve(command, cli.COMMANDS[command][1],
+                           cli.build_parser().parse_args(argv))
+    echo = [f"# {c}" for c in cli.config_lines(command, resolved)]
+    assert echo[0] == f"# command = {command}"
+    paths = cli._outputs(command, str(out))
+    assert len(paths) == (2 if command == "fractal" else 1)
+    for path in paths:
+        text = Path(path).read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[:len(echo)] == echo, path
+        data = lines[len(echo):]
+        if header is None:  # a grid: one `x y z` line per point
+            assert len(data) == 16 and all(len(l.split()) == 3 for l in data)
+        else:
+            assert data[0] == header and len(data) > 1
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote " + " and ".join(paths)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, Dataset, FractalParams,
-                           IdxFormatError, NormScheme, apply_norm, dump_grid,
-                           fractal_grid, fractal_seed, idx_header_bytes,
+                           IdxFormatError, NormScheme, apply_norm, fractal_grid,
+                           fractal_seed, grid_lines, idx_header_bytes,
                            load_mnist_idx, read_idx, sample_function,
                            write_idx)
 from chebykan.ndcore import Rng
@@ -157,19 +157,14 @@ def test_fractal_params_validation():
                 fractal_grid(FractalParams(grid=4, **{name: bad}))
 
 
-def test_dump_grid_round_trip(tmp_path):
+def test_grid_lines_round_trip():
     ds = fractal_grid(FractalParams(b=0.0, grid=4))
-    path = tmp_path / "grid.csv"
-    dump_grid(ds, path, header_comments=["# test dump"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test dump"
-    rows = [tuple(float(v) for v in l.split()) for l in lines[1:]]
+    rows = [tuple(float(v) for v in l.split()) for l in grid_lines(ds)]
     assert len(rows) == 16
     np.testing.assert_allclose(np.array(rows),
                                np.column_stack([ds.features, ds.targets]))
 
 
-def test_dump_grid_needs_2d_features(tmp_path):
+def test_grid_lines_needs_2d_features():
     with pytest.raises(ValueError):
-        dump_grid(Dataset(features=np.zeros((4, 3)), targets=np.zeros((4, 1))),
-                  tmp_path / "x.csv")
+        grid_lines(Dataset(features=np.zeros((4, 3)), targets=np.zeros((4, 1))))

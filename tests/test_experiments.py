@@ -5,9 +5,9 @@ from chebykan import experiments
 from chebykan.chebyshev import PolyKind
 from chebykan.data import Dataset, NormScheme, load_mnist_idx, sample_function
 from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
-                                  DivergenceError, TrainConfig, evaluate,
-                                  grad_check, run_ablation, train,
-                                  write_ablation_csv, write_run_csv)
+                                  AblationRow, DivergenceError, TrainConfig,
+                                  ablation_csv_lines, evaluate, grad_check,
+                                  run_ablation, train)
 from chebykan.layers import InitMethod
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, param_count
@@ -99,17 +99,21 @@ def test_non_finite_split_raises_value_error_naming_it():
 
 def test_widths_that_do_not_fit_the_data_raise_before_any_step():
     ds = _toy_regression()
-    model = _build_for(_small_cfg())
-    before = model.flat_params.copy()
     digits = Dataset(features=ds.features, labels=np.arange(len(ds)) % 10)
     for widths, train_ds, message in (
             ([2, 8, 1], ds, "feature width 1, got 2"),
             ([1, 8, 2], ds, "target width 1, got 2"),
             ([1, 8, 9], digits, "more than 9 outputs"),
     ):
+        # the model's widths are checked, not the cfg's, which here fit
+        model = _build_for(_small_cfg(widths=widths))
+        before = model.flat_params.copy()
         with pytest.raises(ValueError, match=f"widths must .*{message}"):
-            train(model, train_ds, train_ds, _small_cfg(widths=widths))
-    np.testing.assert_array_equal(model.flat_params, before)
+            train(model, train_ds, train_ds, _small_cfg())
+        np.testing.assert_array_equal(model.flat_params, before)
+    # a model that fits trains under the default cfg, whose widths are MNIST's
+    record = train(_build_for(_small_cfg()), ds, ds, TrainConfig(epochs=1))
+    assert [r.epoch for r in record.rows] == [1]
 
 
 def test_divergence_raises_with_location():
@@ -195,16 +199,13 @@ def test_grad_check_rejects_empty_audits_and_keeps_nan(monkeypatch):
     assert np.isnan(grad_check(trials=2))
 
 
-def test_run_csv_format(tmp_path):
+def test_run_csv_format():
     cfg = _small_cfg(epochs=2)
     record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
-    path = tmp_path / "run.csv"
-    write_run_csv(record, path, comments=["seed = 11"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed = 11"
-    assert lines[1] == RUN_CSV_HEADER
+    lines = record.csv_lines()
+    assert lines[0] == RUN_CSV_HEADER
     assert lines[-1].startswith("# wall_time_s")
-    first = lines[2].split(",")
+    first = lines[1].split(",")
     assert first[0] == "1"
     assert all(float(v) == float(v) for v in first[1:])
 
@@ -246,15 +247,9 @@ def test_ablation_rejects_unknown_axis():
         run_ablation("widths", base, None, None)
 
 
-def test_ablation_csv_schema(tmp_path):
-    from chebykan.experiments import AblationRow
-    rows = [AblationRow("xavier", 0.5, 1.25, 10, 0.125)]
-    path = tmp_path / "ab.csv"
-    write_ablation_csv(rows, path, comments=["axis = init"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# axis = init"
-    assert lines[1] == ABLATION_CSV_HEADER
-    assert lines[2] == "xavier,0.5,1.25,10,0.125"
+def test_ablation_csv_schema():
+    lines = ablation_csv_lines([AblationRow("xavier", 0.5, 1.25, 10, 0.125)])
+    assert lines == [ABLATION_CSV_HEADER, "xavier,0.5,1.25,10,0.125"]
 
 
 def test_norm_schemes_all_train(synth_mnist_dir):
