@@ -12,15 +12,15 @@ starting value in about a minute of CPU.
 import numpy as np
 
 from chebykan import FractalParams, Rng, TrainConfig, build, fractal_grid
-from chebykan.experiments import evaluate, train
+from chebykan.experiments import FRACTAL_FIT_TRAINING, evaluate, train
 
-params = FractalParams(alpha=0.7, b=0.001, iters=5, grid=64, extent=2.0, seed=42)
+# the defaults of `chebykan fractal`
+params = FractalParams(seed=42)
 ds = fractal_grid(params)
 print(f"grid points: {len(ds.features)}, z range "
       f"[{ds.targets.min():.3f}, {ds.targets.max():.3f}]")
 
-cfg = TrainConfig(epochs=60, batch_size=64, lr=1e-2, seed=42, degree=3,
-                  widths=[2, 64, 64, 1])
+cfg = TrainConfig(seed=42, **FRACTAL_FIT_TRAINING)
 model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
 
 initial = evaluate(model, ds, "regress")

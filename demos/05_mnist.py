@@ -16,10 +16,10 @@ under a few minutes; drop SUBSET to None for the full run.
 import os
 from pathlib import Path
 
-from chebykan import InitMethod, NormScheme, Rng, TrainConfig, apply_norm, build
+from chebykan import InitMethod, NormScheme, TrainConfig
 from chebykan.data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
                            TRAIN_LABELS, Dataset, load_mnist_idx)
-from chebykan.experiments import train
+from chebykan.experiments import run_classifier
 from chebykan.network import mnist_arch, param_count
 
 SUBSET = 10000
@@ -45,11 +45,8 @@ cfg = TrainConfig(epochs=10, batch_size=64, lr=1e-3, seed=42, degree=3,
 print(f"architecture {cfg.widths}, degree {cfg.degree}: "
       f"{param_count(mnist_arch(cfg.degree))} parameters")
 
-tr = apply_norm(train_raw, cfg.norm)
-te = apply_norm(test_raw, cfg.norm, stats=tr.norm)
-model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
-
-record = train(model, tr, te, cfg)
+# normalizes both splits with the train split's statistics, builds, trains
+record = run_classifier(cfg, train_raw, test_raw)
 for row in record.rows:
     print(f"epoch {row.epoch:2d}  train loss {row.train_loss:.4f}  "
           f"test loss {row.test_loss:.4f}  accuracy {row.metric:.4f}")

@@ -23,10 +23,10 @@ import numpy as np
 from .data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
                    Dataset, FractalParams, IdxFormatError, fractal_grid,
                    grid_lines, load_mnist_idx)
-from .experiments import (ABLATION_SWEEPS, FUNCTION_FIT, FUNCTION_FIT_TRAINING,
-                          DivergenceError, TrainConfig, ablation_csv_lines,
-                          fit_function, grad_check, run_ablation, run_classifier,
-                          train)
+from .experiments import (ABLATION_SWEEPS, FRACTAL_FIT_TRAINING, FUNCTION_FIT,
+                          FUNCTION_FIT_TRAINING, DivergenceError, TrainConfig,
+                          ablation_csv_lines, fit_function, grad_check,
+                          run_ablation, run_classifier, train)
 from .ndcore import Rng
 from .network import build
 
@@ -143,8 +143,7 @@ APPROX_OPTS = (_shared_opts("approx_dump.csv") + _opts(FUNCTION_FIT)
                        skip=("epochs", "norm", "max_steps")))
 
 FRACTAL_OPTS = (_shared_opts("fractal.csv") + _opts(vars(FractalParams()), skip=("seed",))
-                + _opts({**_TRAINING, "widths": [2, 64, 64, 1], "epochs": 60, "lr": 1e-2},
-                        _FIT_FLAGS, skip=("norm",)))
+                + _opts({**_TRAINING, **FRACTAL_FIT_TRAINING}, _FIT_FLAGS, skip=("norm",)))
 
 ABLATE_OPTS = _shared_opts("ablation.csv") + [
     Opt("axis", _choice(*ABLATION_SWEEPS), None, "which axis to sweep"),
@@ -231,6 +230,7 @@ def _train_config(resolved):
     cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in names},
                       dtype=np.float32 if resolved["f32"] else np.float64)
     cfg.validate()
+    cfg.arch().validate()
     return cfg
 
 
@@ -320,7 +320,7 @@ def cmd_fractal(resolved):
 def cmd_ablate(resolved):
     if resolved["axis"] is None:
         raise UsageError("--axis is required (init, degree, norm, or kind)")
-    rows, _ = run_ablation(resolved["axis"], _train_config(resolved), *_load_mnist(resolved))
+    rows = run_ablation(resolved["axis"], _train_config(resolved), *_load_mnist(resolved))
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "
               f"{r.param_count} params")

@@ -40,6 +40,8 @@ ABLATION_SWEEPS = {
 FUNCTION_FIT = dict(target="sin_plus_sq", lo=-2.0, hi=2.0, n=2000, test_n=500,
                     steps=2000)
 FUNCTION_FIT_TRAINING = dict(widths=(1, 8, 1), degree=4, lr=1e-2)
+# The fractal-surface recipe: the TrainConfig overrides of `chebykan fractal`.
+FRACTAL_FIT_TRAINING = dict(widths=(2, 64, 64, 1), epochs=60, lr=1e-2)
 
 
 class DivergenceError(RuntimeError):
@@ -64,8 +66,8 @@ class TrainConfig:
     dtype: type = np.float64  # model precision, passed to network.build
 
     def validate(self):
-        """Reject values no run can use, the architecture's included; each
-        message names the offending field."""
+        """Reject schedule values no run can use; each message names the
+        offending field. `build` checks the architecture fields."""
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -78,7 +80,6 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.optimizer == "sgd" and not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        self.arch().validate()
 
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,
@@ -97,7 +98,6 @@ class EpochRow:
 class RunRecord:
     rows: list
     final_metric: float
-    param_count: int
     wall_time_s: float
 
     def csv_lines(self):
@@ -107,29 +107,32 @@ class RunRecord:
                 + [f"# wall_time_s = {self.wall_time_s!r}"])
 
 
-def _loss_and_metric(model, ds, task, chunk=1024):
-    """Full-dataset loss and metric with the model frozen (eval mode)."""
+def _objective(ds):
+    """The loss for `ds` and the answers it scores against: softmax
+    cross-entropy on integer labels, else mean squared error on targets."""
+    if ds.labels is not None:
+        return softmax_cross_entropy, ds.labels
+    return mse_loss, ds.targets
+
+
+def _loss_and_metric(model, ds, chunk=1024):
+    """Full-dataset loss and metric with the model frozen (eval mode); the
+    metric is the accuracy on labels and the loss itself on targets."""
+    loss_fn, answers = _objective(ds)
     was_training = model.training
     model.eval()
     n = len(ds)
     loss_sum = 0.0
     correct = 0
-    sq_sum = 0.0
     for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        y = model.forward(ds.features[start:stop])
-        if task == "classify":
-            loss, _ = softmax_cross_entropy(y, ds.labels[start:stop])
-            loss_sum += loss * (stop - start)
-            correct += int(np.sum(np.argmax(y, axis=1) == ds.labels[start:stop]))
-        else:
-            diff = y - ds.targets[start:stop]
-            sq_sum += float(np.sum(diff * diff))
+        y = model.forward(ds.features[start:start + chunk])
+        want = answers[start:start + chunk]
+        loss_sum += loss_fn(y, want)[0] * len(want)
+        if ds.labels is not None:
+            correct += int(np.sum(np.argmax(y, axis=1) == want))
     model.train(was_training)
-    if task == "classify":
-        return loss_sum / n, correct / n
-    mse = sq_sum / (n * ds.targets.shape[1])
-    return mse, mse
+    loss = loss_sum / n
+    return loss, (correct / n if ds.labels is not None else loss)
 
 
 def evaluate(model, ds, task):
@@ -138,21 +141,25 @@ def evaluate(model, ds, task):
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
         raise ValueError(f"task must be {fits!r} for this dataset, got {task!r}")
-    _, metric = _loss_and_metric(model, ds, task)
-    return metric
+    return _loss_and_metric(model, ds)[1]
 
 
 def train(model, train_ds, test_ds, cfg):
     """Minibatch training; returns per-epoch rows plus a final summary.
 
-    Shuffle order comes from the (seed, "train/shuffle") substream, so a rerun
-    with the same config reproduces the trajectory exactly. A non-finite batch
-    loss aborts with the offending epoch/batch named. epochs=0 or max_steps=0
-    just evaluates the initialized model (a single epoch-0 row). Before any
-    step, ValueError names the split if a split is empty or has non-finite
-    features or targets, and names `widths` unless the model's first width is
-    each split's feature width and its last the target width or above the
-    labels.
+    The objective comes from the data (cross-entropy and accuracy on labels,
+    mean squared error on targets), the architecture from the model, and
+    only the schedule from `cfg`: its epochs, batch_size, lr, optimizer,
+    momentum, seed and max_steps, which `TrainConfig.validate` checks; its
+    architecture fields are `build`'s to check. Shuffle order comes from the
+    (seed, "train/shuffle") substream, so a rerun with the same config
+    reproduces the trajectory exactly. A non-finite batch loss aborts with
+    the offending epoch/batch named. epochs=0 or max_steps=0 just evaluates
+    the initialized model (a single epoch-0 row). Before any step,
+    ValueError names the split if a split is empty or has non-finite
+    features or targets, and names `widths` unless the model's first width
+    is each split's feature width and its last the target width or above
+    the labels.
     """
     cfg.validate()
     first, last = model.layers[0].input_dim, model.layers[-1].output_dim
@@ -172,29 +179,21 @@ def train(model, train_ds, test_ds, cfg):
         if ds.labels is None and last != ds.targets.shape[1]:
             raise ValueError(f"widths must end with the target width "
                              f"{ds.targets.shape[1]}, got {last}")
-    task = "classify" if train_ds.labels is not None else "regress"
+    loss_fn, answers = _objective(train_ds)
     rng = Rng(cfg.seed, "train/shuffle")
     opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr, momentum=cfg.momentum)
     t0 = time.perf_counter()
     rows = []
-    epochs = 0 if cfg.max_steps == 0 else cfg.epochs
-    if epochs == 0:
-        train_loss, _ = _loss_and_metric(model, train_ds, task)
-        test_loss, metric = _loss_and_metric(model, test_ds, task)
-        rows.append(EpochRow(0, train_loss, test_loss, metric))
     n = len(train_ds)
-    step = 0
-    stop_early = False
-    for epoch in range(1, epochs + 1):
+    steps_left = math.inf if cfg.max_steps is None else cfg.max_steps
+    for epoch in range(1, cfg.epochs + 1):
+        if steps_left == 0:
+            break
         order = rng.permutation(n)
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            y = model.forward(train_ds.features[idx])
-            if task == "classify":
-                loss, dLdy = softmax_cross_entropy(y, train_ds.labels[idx])
-            else:
-                loss, dLdy = mse_loss(y, train_ds.targets[idx])
+            loss, dLdy = loss_fn(model.forward(train_ds.features[idx]), answers[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
@@ -202,17 +201,17 @@ def train(model, train_ds, test_ds, cfg):
             model.backward(dLdy)
             opt.step(model.flat_params, model.flat_grads)
             loss_sum += loss * len(idx)
-            step += 1
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                stop_early = True
+            steps_left -= 1
+            if steps_left == 0:
                 break
-        test_loss, metric = _loss_and_metric(model, test_ds, task)
+        test_loss, metric = _loss_and_metric(model, test_ds)
         rows.append(EpochRow(epoch, loss_sum / n, test_loss, metric))
-        if stop_early:
-            break
+    if not rows:  # no epoch ran: evaluate the initialized model
+        train_loss, _ = _loss_and_metric(model, train_ds)
+        test_loss, metric = _loss_and_metric(model, test_ds)
+        rows.append(EpochRow(0, train_loss, test_loss, metric))
     wall = time.perf_counter() - t0
-    return RunRecord(rows=rows, final_metric=rows[-1].metric,
-                     param_count=model.param_count(), wall_time_s=wall)
+    return RunRecord(rows=rows, final_metric=rows[-1].metric, wall_time_s=wall)
 
 
 def _forward_hp(model, x):
@@ -239,7 +238,7 @@ def _forward_hp(model, x):
     return h
 
 
-def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
+def grad_check(trials=100, h=1e-6, seed=1234):
     """Worst finite-difference relative error over random small networks.
 
     Each trial draws widths (2-3 layers, 1-4 units), degree 0-6, either
@@ -249,12 +248,10 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
     Relative error is |analytic - numeric| / max(1e-12, |numeric|); the
     denominator uses the actually-stored step (old+h) - (old-h), exact in
     float64, so step representation error drops out. At degree 0 the output
-    ignores the input, so any nonzero analytic input gradient fails.
-    ``corrupt=True`` flips the sign of the largest analytic gradient entry — a
-    self-test that the harness does flag a broken backward pass. A non-finite
-    relative error makes the result non-finite, and a step ``h`` that is not
-    finite and > 0, or ``trials < 1``, raises ValueError, since such a run
-    would measure nothing.
+    ignores the input, so any nonzero analytic input gradient fails. A
+    non-finite relative error makes the result non-finite, and a step ``h``
+    that is not finite and > 0, or ``trials < 1``, raises ValueError, since
+    such a run would measure nothing.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be finite and > 0, got {h}")
@@ -281,10 +278,6 @@ def grad_check(trials=100, h=1e-6, seed=1234, corrupt=False):
         y = model.forward(x)
         dLdx = model.backward(2.0 * w * y)
         analytic = model.flat_grads.copy()
-
-        if corrupt:
-            k = int(np.argmax(np.abs(analytic)))
-            analytic[k] = -analytic[k]
 
         def loss_hp(xin):
             out = _forward_hp(model, xin)
@@ -360,11 +353,10 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
     sweeps the three input schemes. kind compares the two polynomial kinds:
     test_accuracy comes from the classification run, while the test_loss
     column reports the function-approximation MSE for that kind.
-    Rows are emitted in sweep order; param_count always comes from
+    Rows are emitted in sweep order; param_count comes from
     network.param_count on the swept spec.
     """
     rows = []
-    records = []
     if axis not in ABLATION_SWEEPS:
         raise ValueError(f"unknown ablation axis {axis!r}; "
                          "choose init, degree, norm, or kind")
@@ -380,13 +372,11 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
             wall += func_rec.wall_time_s
         else:
             test_loss = rec.rows[-1].test_loss
-        expected = network.param_count(cfg.arch())
-        assert rec.param_count == expected, "param_count drifted from the spec formula"
         rows.append(AblationRow(axis_value=str(getattr(value, "value", value)),
                                 test_accuracy=rec.final_metric, test_loss=test_loss,
-                                param_count=expected, wall_time_s=wall))
-        records.append(rec)
-    return rows, records
+                                param_count=network.param_count(cfg.arch()),
+                                wall_time_s=wall))
+    return rows
 
 
 def ablation_csv_lines(rows):
