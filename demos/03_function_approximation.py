@@ -15,7 +15,7 @@ from chebykan.experiments import FUNCTION_FIT, FUNCTION_FIT_TRAINING, fit_functi
 # the recipe `chebykan approx` runs at its defaults, seed 42 included
 record, model, _ = fit_function(TrainConfig(seed=42, **FUNCTION_FIT_TRAINING),
                                 "approx", **FUNCTION_FIT)
-print(f"parameters: {model.param_count()}")
+print(f"parameters: {model.flat_params.size}")
 for row in record.rows[::10]:
     print(f"epoch {row.epoch:3d}  train {row.train_loss:.6f}  test {row.metric:.6f}")
 print(f"final test MSE: {record.final_metric:.3e}")

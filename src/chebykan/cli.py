@@ -160,7 +160,7 @@ GRADCHECK_OPTS = _shared_opts(None, f32=False) + [
 
 def parse_config_file(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read config file {path}: {e}")
     values = {}

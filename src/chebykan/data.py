@@ -67,16 +67,15 @@ def idx_header_bytes(magic, dims):
     return out
 
 
-def read_idx(path, expected_magic=None):
-    """Parse an unsigned-byte IDX file into a uint8 array of the header's shape."""
+def read_idx(path, expected_magic):
+    """Parse an unsigned-byte IDX file with the given magic into a uint8 array
+    of the header's shape."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 4:
         raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
     magic = int.from_bytes(data[:4], "big")
-    if magic not in (IMAGES_MAGIC, LABELS_MAGIC):
-        raise IdxFormatError(f"{path}: bad IDX magic 0x{magic:08x}")
-    if expected_magic is not None and magic != expected_magic:
+    if magic != expected_magic:
         raise IdxFormatError(
             f"{path}: magic 0x{magic:08x} but expected 0x{expected_magic:08x}"
         )
@@ -106,8 +105,8 @@ def write_idx(path, arr):
 
 def load_mnist_idx(images_path, labels_path):
     """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10)."""
-    images = read_idx(images_path, expected_magic=IMAGES_MAGIC)
-    labels = read_idx(labels_path, expected_magic=LABELS_MAGIC)
+    images = read_idx(images_path, IMAGES_MAGIC)
+    labels = read_idx(labels_path, LABELS_MAGIC)
     if images.shape[0] == 0:
         raise IdxFormatError(f"{images_path}: holds no images")
     if images.shape[0] != labels.shape[0]:

@@ -9,13 +9,12 @@ closed-form count here is the single source of truth for every reported
 parameter total.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import PolyKind
-from .layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
-from .ndcore import Rng
+from .layers import ChebyKanLayer, LayerNorm, init_coeffs
 
 MNIST_WIDTHS = [784, 32, 16, 10]
 
@@ -43,25 +42,6 @@ class ArchSpec:
         w = ",".join(str(int(v)) for v in self.widths)
         ln = 1 if self.layernorm_between else 0
         return f"widths={w};degree={self.degree};kind={self.kind.value};ln={ln}"
-
-    @classmethod
-    def from_arch_string(cls, s):
-        fields = {}
-        for part in s.strip().split(";"):
-            if "=" not in part:
-                raise ValueError(f"bad arch-string fragment {part!r} in {s!r}")
-            key, val = part.split("=", 1)
-            fields[key] = val
-        try:
-            widths = [int(v) for v in fields["widths"].split(",")]
-            degree = int(fields["degree"])
-            kind = PolyKind(fields["kind"])
-            ln = bool(int(fields["ln"]))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed arch-string {s!r}") from exc
-        spec = cls(widths=widths, degree=degree, kind=kind, layernorm_between=ln)
-        spec.validate()
-        return spec
 
 
 def param_count(spec):
@@ -120,33 +100,35 @@ class Sequential:
         """Per-tensor views into ``flat_params``, in declaration order."""
         return [getattr(layer, name) for layer in self.layers for name in layer.param_names]
 
-    def param_count(self):
-        return self.flat_params.size
 
-
-def build(spec, init=InitMethod.XAVIER, rng=None, dtype=np.float64):
-    """KAN stack per spec: LayerNorm follows each KAN layer except the last.
-
-    Each layer initializes from its own substream, so changing one width
-    never shifts another layer's draws. ``dtype`` (float32 or float64) is the
-    precision of the parameters, gradients and activations for the model's
-    lifetime; inputs of any float dtype are cast to it at each layer.
-    """
+def _layers(spec, dtype=np.float64):
+    """The zeroed layers spec describes, in order: a LayerNorm follows each
+    KAN layer except the last."""
     spec.validate()
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    if rng is None:
-        rng = Rng(0, "build")
+    w, n_pairs = spec.widths, len(spec.widths) - 1
     layers = []
-    n_pairs = len(spec.widths) - 1
     for k in range(n_pairs):
-        kan = ChebyKanLayer(spec.widths[k], spec.widths[k + 1], spec.degree, spec.kind,
-                            dtype=dtype)
-        init_coeffs(kan, init, rng.substream(f"kan{k}"))
-        layers.append(kan)
+        layers.append(ChebyKanLayer(w[k], w[k + 1], spec.degree, spec.kind, dtype=dtype))
         if spec.layernorm_between and k < n_pairs - 1:
-            layers.append(LayerNorm(spec.widths[k + 1], dtype=dtype))
-    return Sequential(layers)
+            layers.append(LayerNorm(w[k + 1], dtype=dtype))
+    return layers
+
+
+def build(spec, init, rng, dtype=np.float64):
+    """KAN stack per spec, its coefficients drawn by the ``init`` method.
+
+    KAN layer k draws from ``rng.substream(f"kan{k}")``, so changing one
+    width never shifts another layer's draws. ``dtype`` (float32 or float64)
+    is the precision of the parameters, gradients and activations for the
+    model's lifetime; inputs of any float dtype are cast to it at each layer.
+    """
+    seq = Sequential(_layers(spec, dtype))
+    kans = [layer for layer in seq.layers if isinstance(layer, ChebyKanLayer)]
+    for k, kan in enumerate(kans):
+        init_coeffs(kan, init, rng.substream(f"kan{k}"))
+    return seq
 
 
 def mnist_arch(degree=3, kind=PolyKind.FIRST):
@@ -173,7 +155,7 @@ def save_network(seq, spec, path):
     beta per LayerNorm), each flattened row-major. A spec that does not
     describe seq's layers raises ValueError.
     """
-    if _layout(seq.layers) != _layout(build(spec).layers):
+    if _layout(seq.layers) != _layout(_layers(spec)):
         raise ValueError(f"network layers do not match spec {spec.arch_string()}")
     with open(path, "wb") as fh:
         fh.write(_header(spec))
@@ -188,8 +170,11 @@ def load_network(path):
         header = fh.readline()
         blob = fh.read()
     try:
-        spec = ArchSpec.from_arch_string(
-            header.partition(b" ")[2].split(b" ")[0].decode("ascii"))
+        arch = header.partition(b" ")[2].split(b" ")[0].decode("ascii")
+        widths, degree, kind, ln = (f.partition("=")[2] for f in arch.split(";"))
+        spec = ArchSpec([int(w) for w in widths.split(",")], int(degree), PolyKind(kind),
+                        bool(int(ln)))
+        spec.validate()
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{path}: unreadable header {header[:100]!r}: {exc}") from None
     if header != _header(spec):
@@ -202,6 +187,6 @@ def load_network(path):
     flat = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: parameter stream holds non-finite values")
-    seq = build(spec, init=InitMethod.UNIFORM, rng=Rng(0, "load"))
+    seq = Sequential(_layers(spec))
     seq.flat_params[...] = flat
     return seq, spec

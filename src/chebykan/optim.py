@@ -6,6 +6,8 @@ array (a model's ``flat_params``) in place from a gradient array of the same
 shape; their state arrays are allocated on the first step.
 """
 
+import math
+
 import numpy as np
 
 from .ndcore import ShapeError
@@ -50,8 +52,8 @@ class Adam:
     """
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {lr}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.lr = lr
@@ -94,8 +96,8 @@ class Sgd:
     """Momentum SGD: v <- momentum*v + g; p <- p - lr*v."""
 
     def __init__(self, lr, momentum=0.0):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
         self.lr = lr

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,20 @@ def test_flags_beat_config_file(tmp_path):
     echoed = comments(out)
     assert "# steps = 30" in echoed   # flag wins
     assert "# lr = 0.5" in echoed     # config survives where no flag given
+
+
+def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# café\nsteps = 5\n".encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "chebykan", "approx", "--config", str(cfg), "--n", "16",
+         "--test-n", "16", "--out", str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "# steps = 5" in comments(tmp_path / "o.csv")
 
 
 def test_unknown_config_key_rejected(tmp_path):

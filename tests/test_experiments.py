@@ -145,11 +145,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="momentum"):
         _small_cfg(optimizer="sgd", momentum=float("nan")).validate()
     _small_cfg(optimizer="adam", momentum=float("nan")).validate()  # unused
-    # the architecture fields are checked where a model is built from them
+    # the architecture fields are checked by the spec a model is built from
     with pytest.raises(ValueError, match="degree"):
-        build(_small_cfg(degree=-1).arch())
+        _small_cfg(degree=-1).arch().validate()
     with pytest.raises(ValueError, match="widths"):
-        build(_small_cfg(widths=[1, 0, 1]).arch())
+        _small_cfg(widths=[1, 0, 1]).arch().validate()
 
 
 def test_evaluate_constant_classifier_on_balanced_set():

@@ -116,6 +116,10 @@ def test_optimizer_validation():
         Sgd(lr=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         Adam(lr=-1.0)
+    for lr in (float("nan"), float("inf"), -float("inf")):
+        for opt in (Adam, Sgd):
+            with pytest.raises(ValueError, match="lr must be finite and > 0"):
+                opt(lr=lr)
     opt = Adam(lr=0.1)
     with pytest.raises(ShapeError):
         opt.step(np.zeros(2), np.zeros(3))

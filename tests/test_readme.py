@@ -6,7 +6,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_quick_start_runs(capsys):
     """The README's Python block runs as written and prints what it claims."""
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()

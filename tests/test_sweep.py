@@ -145,7 +145,12 @@ def test_fuzzed_checkpoints_raise_value_error_naming_the_path(tmp_path):
         (b" 2 first", b" 2 second"), (b" 2 first", b" 2 nope"), (b" 2 first", b" 2"),
         (b"kind=first", b"kind=second"), (b"kind=first", b"kind=x"),
         (b"degree=2", b"degree=-1"), (b"degree=2", b"degree=x"),
-        (b"ln=0", b"ln=2"), (b"widths=2", b"widths=+2"), (b"first", b"f\xefrst"))]
+        (b"ln=0", b"ln=2"), (b"widths=2", b"widths=+2"), (b"first", b"f\xefrst"),
+        (b"widths=2,3,1;degree=2;kind=first;ln=0", b""),
+        (b";degree=2;kind=first;ln=0", b""),
+        (b"widths=2,3,1;degree=2", b"degree=2;widths=2,3,1"),
+        (b"kind=first;ln=0", b"ln=0;kind=first"),
+        (b"ln=0", b"ln=0;x=1"))]
     edits.append(blob + b"\0")
     for value in (np.nan, np.inf, -np.inf):
         flat = np.frombuffer(stream, dtype="<f8").copy()
