@@ -2,9 +2,9 @@
 
 Layers expand tanh-squashed inputs in a Chebyshev polynomial basis (first or
 second kind) with learnable coefficient tensors; backpropagation is written
-out by hand and audited with finite differences. The experiments module
-reproduces the digit-classification, function-approximation, fractal-surface,
-and ablation studies at desk scale.
+out by hand and audited against complex-step derivatives. The experiments
+module reproduces the digit-classification, function-approximation,
+fractal-surface, and ablation studies at desk scale.
 """
 
 from .chebyshev import (PolyKind, eval_basis, eval_basis_derivative, extrema,

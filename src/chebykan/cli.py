@@ -151,7 +151,7 @@ ABLATE_OPTS = _shared_opts("ablation.csv") + [
 
 GRADCHECK_OPTS = _shared_opts(None, f32=False) + [
     Opt("trials", int, 100, "random configurations to test"),
-    Opt("h", float, 1e-6, "finite-difference step"),
+    Opt("h", float, 1e-40, "complex-step size"),
 ]
 
 
@@ -163,15 +163,18 @@ def parse_config_file(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read config file {path}: {e}")
-    values = {}
+    values, first = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first:
+            raise UsageError(f"{path}:{lineno}: key {key!r} is already set on line {first[key]}")
+        first[key] = lineno
+        values[key] = value
     return values
 
 
@@ -346,7 +349,7 @@ COMMANDS = {
                 FRACTAL_OPTS, cmd_fractal),
     "ablate": ("sweep one axis (init, degree, norm, kind) on the classifier",
                ABLATE_OPTS, cmd_ablate),
-    "gradcheck": ("finite-difference audit of the backward pass", GRADCHECK_OPTS,
+    "gradcheck": ("complex-step audit of the backward pass", GRADCHECK_OPTS,
                   cmd_gradcheck),
 }
 

@@ -93,6 +93,11 @@ class EpochRow:
     test_loss: float
     metric: float
 
+    def __post_init__(self):
+        for split in ("train", "test"):
+            if not np.isfinite(getattr(self, f"{split}_loss")):
+                raise DivergenceError(f"non-finite {split} loss at the end of epoch {self.epoch}")
+
 
 @dataclass
 class RunRecord:
@@ -153,13 +158,13 @@ def train(model, train_ds, test_ds, cfg):
     momentum, seed and max_steps, which `TrainConfig.validate` checks; its
     architecture fields are `build`'s to check. Shuffle order comes from the
     (seed, "train/shuffle") substream, so a rerun with the same config
-    reproduces the trajectory exactly. A non-finite batch loss aborts with
-    the offending epoch/batch named. epochs=0 or max_steps=0 just evaluates
-    the initialized model (a single epoch-0 row). Before any step,
-    ValueError names the split if a split is empty or has non-finite
-    features or targets, and names `widths` unless the model's first width
-    is each split's feature width and its last the target width or above
-    the labels.
+    reproduces the trajectory exactly. DivergenceError names the epoch and
+    batch of a non-finite batch loss, and the epoch and split of a non-finite
+    loss in an epoch's row. epochs=0 or max_steps=0 just evaluates the
+    initialized model (a single epoch-0 row). Before any step, ValueError
+    names the split if a split is empty or has non-finite features or
+    targets, and names `widths` unless the model's first width is each
+    split's feature width and its last the target width or above the labels.
     """
     cfg.validate()
     first, last = model.layers[0].input_dim, model.layers[-1].output_dim
@@ -214,44 +219,59 @@ def train(model, train_ds, test_ds, cfg):
     return RunRecord(rows=rows, final_metric=rows[-1].metric, wall_time_s=wall)
 
 
-def _forward_hp(model, x):
-    """Independent extended-precision forward pass, the finite-difference oracle.
-
-    Deliberately a separate implementation from the layers' own forward (einsum
-    contraction instead of the reshape-matmul), run in longdouble so the
-    probe's rounding noise sits well below the 1e-5 relative-error gate even
-    where a gradient entry happens to be tiny. The basis recurrence is shared:
-    backward assumes Chebyshev identities, so a wrong basis still shows here.
-    """
-    h = np.asarray(x, dtype=np.longdouble)
+def _einsum_forward(model, x, params):
+    """The gradient oracle: `model`'s layers applied to x with the parameters
+    in `params`, a vector laid out like `flat_params`. Deliberately separate
+    from the layers' own forward (einsum, not reshape-matmul), and
+    complex-analytic at every step (LayerNorm squares d as d*d, not |d|^2).
+    The basis recurrence is shared: backward assumes Chebyshev identities, so
+    a wrong basis still shows here."""
+    ps = model.params()
+    bounds = np.cumsum([p.size for p in ps])[:-1]
+    tensors = iter(t.reshape(p.shape) for t, p in zip(np.split(params, bounds), ps))
     for layer in model.layers:
         if isinstance(layer, ChebyKanLayer):
-            basis = _basis_stack(np.tanh(h), layer.degree, layer.kind)
-            h = np.einsum("bji,ioj->bo", basis, layer.coeffs.astype(np.longdouble))
+            basis = _basis_stack(np.tanh(x), layer.degree, layer.kind)
+            x = np.einsum("bji,ioj->bo", basis, next(tensors))
         elif isinstance(layer, LayerNorm):
-            mean = h.mean(axis=1, keepdims=True)
-            var = np.mean((h - mean) ** 2, axis=1, keepdims=True)
-            xhat = (h - mean) / np.sqrt(var + layer.eps)
-            h = layer.gamma.astype(np.longdouble) * xhat + layer.beta.astype(np.longdouble)
+            gamma, beta = next(tensors), next(tensors)
+            d = x - x.mean(axis=1, keepdims=True)
+            x = gamma * d / np.sqrt(np.mean(d * d, axis=1, keepdims=True) + layer.eps) + beta
         else:
-            raise TypeError(f"no high-precision forward for {type(layer).__name__}")
-    return h
+            raise TypeError(f"no oracle forward for {type(layer).__name__}")
+    return x
 
 
-def grad_check(trials=100, h=1e-6, seed=1234):
-    """Worst finite-difference relative error over random small networks.
+def _complex_step(model, x, loss, h):
+    """(d_params, d_x): the derivative of loss(`_einsum_forward`'s output) by
+    each entry of `model`'s parameter vector and of x, by the complex step
+    (Squire & Trapp, SIAM Review 40(1), 1998). Adding i*h to one entry of a
+    complex copy of (flat_params, x) makes Im loss / h its derivative up to
+    O(h^2): one evaluation per entry and no subtraction, so h can be as small
+    as 1e-40. An entry whose loss is non-finite in either part reads NaN."""
+    n = model.flat_params.size
+    z = np.concatenate([model.flat_params, np.ravel(x)]).astype(complex)
+    grad = np.empty(z.size)
+    for i in range(z.size):
+        z.imag[i] = h
+        f = loss(_einsum_forward(model, z[n:].reshape(x.shape), z[:n]))
+        z.imag[i] = 0.0
+        grad[i] = f.imag / h if np.isfinite(f) else np.nan
+    return grad[:n], grad[n:].reshape(x.shape)
+
+
+def grad_check(trials=100, h=1e-40, seed=1234):
+    """Worst relative error of the backward pass against `_complex_step`
+    (step ``h``) over random small networks.
 
     Each trial draws widths (2-3 layers, 1-4 units), degree 0-6, either
-    polynomial kind, and LayerNorm on/off, then perturbs every entry of the
-    parameter vector and every input coordinate by +/-h around a weighted
-    sum-of-squares loss, differencing the independent `_forward_hp` oracle.
-    Relative error is |analytic - numeric| / max(1e-12, |numeric|); the
-    denominator uses the actually-stored step (old+h) - (old-h), exact in
-    float64, so step representation error drops out. At degree 0 the output
-    ignores the input, so any nonzero analytic input gradient fails. A
-    non-finite relative error makes the result non-finite, and a step ``h``
-    that is not finite and > 0, or ``trials < 1``, raises ValueError, since
-    such a run would measure nothing.
+    polynomial kind, and LayerNorm on/off, and checks the gradient of a
+    weighted sum-of-squares loss at every parameter and input coordinate.
+    Relative error is |analytic - numeric| / max(1e-12, |numeric|). At degree
+    0 the output ignores the input, so any nonzero analytic input gradient
+    fails. A non-finite error makes the result non-finite, and an ``h`` that
+    is not finite and > 0, or ``trials < 1``, raises ValueError, since such a
+    run would measure nothing.
     """
     if not 0 < h < math.inf:
         raise ValueError(f"h must be finite and > 0, got {h}")
@@ -272,38 +292,13 @@ def grad_check(trials=100, h=1e-6, seed=1234):
         model = build(spec, InitMethod.LECUN, r.substream("init"))
         x = r.uniform(-1.5, 1.5, (batch, widths[0]))
         w = r.uniform(0.5, 1.5, (batch, widths[-1]))
-        w_hp = np.asarray(w, dtype=np.longdouble)
 
-        model.train()
-        y = model.forward(x)
+        y = model.forward(x)  # a built model is in training mode
         dLdx = model.backward(2.0 * w * y)
-        analytic = model.flat_grads.copy()
-
-        def loss_hp(xin):
-            out = _forward_hp(model, xin)
-            return np.sum(w_hp * out * out)
-
-        def fd(arr, i, xin):
-            old = arr.flat[i]
-            arr.flat[i] = old + h
-            up = arr.flat[i]
-            lp = loss_hp(xin)
-            arr.flat[i] = old - h
-            down = arr.flat[i]
-            lm = loss_hp(xin)
-            arr.flat[i] = old
-            return float((lp - lm) / np.longdouble(up - down))
-
-        for i in range(analytic.size):
-            num = fd(model.flat_params, i, x)
-            rel = abs(analytic[i] - num) / max(1e-12, abs(num))
-            worst = np.maximum(worst, rel)
-
-        xp = x.copy()
-        for i in range(x.size):
-            num = fd(xp, i, xp)
-            rel = abs(dLdx.flat[i] - num) / max(1e-12, abs(num))
-            worst = np.maximum(worst, rel)
+        numeric = _complex_step(model, x, lambda out: np.sum(w * out * out), h)
+        for analytic, num in zip((model.flat_grads, dLdx), numeric):
+            rel = np.abs(analytic - num) / np.maximum(1e-12, np.abs(num))
+            worst = np.maximum(worst, rel.max())
 
     return float(worst)
 

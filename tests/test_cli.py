@@ -166,12 +166,16 @@ def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert "# steps = 5" in comments(tmp_path / "o.csv")
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("data_dir = /tmp\n")  # valid for mnist, not approx
     assert run(["approx", "--config", str(cfg)]) == 1
     cfg.write_text("not key value\n")
     assert run(["approx", "--config", str(cfg)]) == 1
+    cfg.write_text("steps = 5\n# the run would take the last one\nsteps = 7\n")
+    capsys.readouterr()
+    assert run(["approx", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: key 'steps' is already set on line 1\n"
     assert run(["approx", "--config", str(tmp_path / "missing.cfg")]) == 1
 
 
@@ -225,11 +229,13 @@ def test_fractal_b0_equals_iters0(tmp_path):
 
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
     out = tmp_path / "g.csv"
-    assert run(["gradcheck", "--trials", "4", "--out", str(out)]) == 0
-    assert "max_rel_err" in capsys.readouterr().out
-    lines = body(out)
-    assert lines[0] == "max_rel_err"
-    assert float(lines[1]) <= 1e-5
+    # the complex step subtracts nothing, so even a step this small measures
+    for step in ([], ["--h", "1e-300"]):
+        assert run(["gradcheck", "--trials", "4", "--out", str(out)] + step) == 0
+        assert "max_rel_err" in capsys.readouterr().out
+        lines = body(out)
+        assert lines[0] == "max_rel_err"
+        assert float(lines[1]) <= 1e-5
 
 
 def test_gradcheck_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -245,14 +251,20 @@ def test_gradcheck_failure_exits_3(tmp_path, monkeypatch, capsys):
         assert "FAIL" in captured.err and captured.out.splitlines()[-1] == f"wrote {out}"
 
 
-def test_divergence_exits_3(tmp_path):
+def test_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "d.cfg"
-    cfg.write_text("optimizer = sgd\nlr = 1e200\nwidths = 1,4,1\n")
-    with np.errstate(all="ignore"):
-        code = run(["approx", "--config", str(cfg), "--steps", "50",
-                    "--n", "64", "--test-n", "16",
-                    "--out", str(tmp_path / "d.csv")])
-    assert code == 3
+    # each run's one batch per epoch is finite; the step after it overflows
+    # the evaluation that closes epoch 1, and fractal's run ends there
+    for text, argv in (("optimizer = sgd\nlr = 1e200\nwidths = 1,4,1\n",
+                        ["approx", "--steps", "50", "--n", "64", "--test-n", "16"]),
+                       ("grid = 4\nepochs = 1\nlr = 1e300\n", ["fractal"])):
+        cfg.write_text(text)
+        with np.errstate(all="ignore"):
+            code = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        assert code == 3, argv
+        assert (capsys.readouterr().err
+                == "numerical failure: non-finite test loss at the end of epoch 1\n")
+    assert not list(tmp_path.glob("d*.csv"))
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -352,7 +364,7 @@ _INTERFACE = {
     ),
     "gradcheck": (
         ["--trials", "1"], {"trials"}, {"trials": "--trials", "h": "--h"},
-        set(), {"h": "1e-06"},
+        set(), {"h": "1e-40"},
     ),
 }
 

@@ -209,10 +209,17 @@ def test_grad_check_rejects_empty_audits_and_keeps_nan(monkeypatch):
                    dict(h=float("inf")), dict(trials=0), dict(trials=-1)):
         with pytest.raises(ValueError):
             grad_check(**kwargs)
-    # a finite-difference oracle that yields NaN must not read as a pass
-    monkeypatch.setattr(experiments, "_forward_hp",
-                        lambda model, x: np.full((len(x), 1), np.nan))
+    # an oracle that yields NaN must not read as a pass
+    monkeypatch.setattr(experiments, "_einsum_forward",
+                        lambda model, x, params: np.full((len(x), 1), np.nan))
     assert np.isnan(grad_check(trials=2))
+
+
+@pytest.mark.parametrize("seed", [10, 18, 27, 43])
+def test_grad_check_resolves_tiny_gradient_entries(seed):
+    # these seeds draw gradient entries near 1e-8, which central differences
+    # resolved only to 1.4e-05 to 3.1e-05
+    assert grad_check(trials=100, seed=seed) <= 1e-5
 
 
 def test_run_csv_format():

@@ -2,7 +2,8 @@
 kinds, batch sizes 1, 3 and 7, drawn from the package's own Rng.
 
 It reaches the corners grad_check never draws (degrees 7-8, float32), so it
-guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere.
+guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere,
+against the complex-step derivatives grad_check also reads.
 It also round-trips every swept architecture through a checkpoint, and feeds
 fuzzed checkpoints and IDX files to the loaders, which must reject each one
 with their documented error.
@@ -19,7 +20,7 @@ from chebykan.chebyshev import PolyKind, eval_basis, eval_basis_derivative
 from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS,
                            IdxFormatError, idx_header_bytes, load_mnist_idx,
                            write_idx)
-from chebykan.experiments import _forward_hp
+from chebykan.experiments import _complex_step
 from chebykan.layers import InitMethod
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, load_network, save_network
@@ -58,22 +59,6 @@ def _grads(model, x, w):
     return model.flat_grads.copy(), dLdx
 
 
-def _central_difference(model, x, w, arr):
-    """Central differences of sum(w * _forward_hp(model, x)) over every entry
-    of `arr` (the parameter vector or x itself), divided by the stored step."""
-    w_hp = np.asarray(w, dtype=np.longdouble)
-    out = np.empty(arr.size)
-    for i in range(arr.size):
-        old = arr.flat[i]
-        arr.flat[i] = old + H
-        up, lp = arr.flat[i], np.sum(w_hp * _forward_hp(model, x))
-        arr.flat[i] = old - H
-        down, lm = arr.flat[i], np.sum(w_hp * _forward_hp(model, x))
-        arr.flat[i] = old
-        out[i] = float((lp - lm) / np.longdouble(up - down))
-    return out
-
-
 def test_forward_equals_einsum_over_eval_basis():
     for widths, degree, kind, x, _, init in CASES:
         layer = _model(widths[:2], degree, kind, init, np.float64).layers[0]
@@ -82,17 +67,13 @@ def test_forward_equals_einsum_over_eval_basis():
         np.testing.assert_allclose(layer.forward(x), expect, rtol=1e-12, atol=1e-12)
 
 
-def test_float64_gradients_match_central_differences():
+def test_float64_gradients_match_complex_step():
     for widths, degree, kind, x, w, init in CASES:
         model = _model(widths, degree, kind, init, np.float64)
-        grad_params, dLdx = _grads(model, x, w)
-        label = (widths, degree, kind, x.shape[0])
-        np.testing.assert_allclose(grad_params,
-                                   _central_difference(model, x, w, model.flat_params),
-                                   rtol=1e-5, atol=1e-9, err_msg=str(label))
-        xp = x.copy()
-        np.testing.assert_allclose(dLdx.ravel(), _central_difference(model, xp, w, xp),
-                                   rtol=1e-5, atol=1e-9, err_msg=str(label))
+        label = str((widths, degree, kind, x.shape[0]))
+        numeric = _complex_step(model, x, lambda y: np.sum(w * y), 1e-40)
+        for analytic, num in zip(_grads(model, x, w), numeric):
+            np.testing.assert_allclose(analytic, num, rtol=1e-5, atol=1e-9, err_msg=label)
 
 
 def test_float32_gradients_match_float64():
