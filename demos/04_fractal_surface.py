@@ -9,32 +9,23 @@ A [2, 64, 64, 1] degree-3 network drives the training MSE under 1% of its
 starting value in about a minute of CPU.
 """
 
-import numpy as np
-
-from chebykan import FractalParams, Rng, TrainConfig, build, fractal_grid
-from chebykan.experiments import FRACTAL_FIT_TRAINING, evaluate, train
+from chebykan import FractalParams, TrainConfig
+from chebykan.experiments import FRACTAL_FIT_TRAINING, fit_fractal
 
 # the defaults of `chebykan fractal`
 params = FractalParams(seed=42)
-ds = fractal_grid(params)
+cfg = TrainConfig(seed=42, **FRACTAL_FIT_TRAINING)
+initial, record, model, ds = fit_fractal(cfg, params)
+final = record.final_metric
 print(f"grid points: {len(ds.features)}, z range "
       f"[{ds.targets.min():.3f}, {ds.targets.max():.3f}]")
-
-cfg = TrainConfig(seed=42, **FRACTAL_FIT_TRAINING)
-model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
-
-initial = evaluate(model, ds, "regress")
-record = train(model, ds, ds, cfg)
-final = record.rows[-1].test_loss
 print(f"initial MSE {initial:.4f} -> final MSE {final:.6f} "
       f"(ratio {final / initial:.4f})")
 
 # with b = 0 the target is the bare seed function; the fit gets strictly better
-smooth = fractal_grid(FractalParams(b=0.0, seed=42))
-model0 = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
-record0 = train(model0, smooth, smooth, cfg)
-print(f"noise-free final MSE {record0.rows[-1].test_loss:.6f} "
-      f"(lower than noisy: {record0.rows[-1].test_loss < final})")
+smooth_final = fit_fractal(cfg, FractalParams(b=0.0, seed=42))[1].final_metric
+print(f"noise-free final MSE {smooth_final:.6f} "
+      f"(lower than noisy: {smooth_final < final})")
 
 try:
     import matplotlib

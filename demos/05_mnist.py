@@ -13,31 +13,17 @@ CHEBYKAN_MNIST_DIR at them. This demo trains on a 10,000-image subset to stay
 under a few minutes; drop SUBSET to None for the full run.
 """
 
-import os
-from pathlib import Path
-
 from chebykan import InitMethod, NormScheme, TrainConfig
-from chebykan.data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES,
-                           TRAIN_LABELS, Dataset, load_mnist_idx)
+from chebykan.data import load_mnist
 from chebykan.experiments import run_classifier
 from chebykan.network import mnist_arch, param_count
 
 SUBSET = 10000
 
-data_dir = Path(os.environ.get("CHEBYKAN_MNIST_DIR", "data/mnist"))
-needed = [data_dir / n for n in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)]
-missing = [p for p in needed if not p.is_file()]
-if missing:
-    raise SystemExit(
-        "MNIST IDX files not found:\n  " + "\n  ".join(str(p) for p in missing)
-        + "\nsee the module docstring for where to put them"
-    )
-
-train_raw = load_mnist_idx(data_dir / TRAIN_IMAGES, data_dir / TRAIN_LABELS)
-test_raw = load_mnist_idx(data_dir / TEST_IMAGES, data_dir / TEST_LABELS)
-if SUBSET is not None:
-    train_raw = Dataset(features=train_raw.features[:SUBSET],
-                        labels=train_raw.labels[:SUBSET])
+try:
+    train_raw, test_raw = load_mnist(subset=SUBSET)
+except FileNotFoundError as e:
+    raise SystemExit(f"{e}\nsee the module docstring for where to put them")
 print(f"train {len(train_raw)} / test {len(test_raw)} images")
 
 cfg = TrainConfig(epochs=10, batch_size=64, lr=1e-3, seed=42, degree=3,

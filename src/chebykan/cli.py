@@ -14,32 +14,24 @@ config error (any ValueError), 2 data error, 3 numerical failure.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .data import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
-                   Dataset, FractalParams, IdxFormatError, fractal_grid,
-                   grid_lines, load_mnist_idx)
+from .data import Dataset, FractalParams, IdxFormatError, grid_lines, load_mnist
 from .experiments import (ABLATION_SWEEPS, FRACTAL_FIT_TRAINING, FUNCTION_FIT,
                           FUNCTION_FIT_TRAINING, DivergenceError, TrainConfig,
-                          ablation_csv_lines, fit_function, grad_check,
-                          run_ablation, run_classifier, train)
-from .ndcore import Rng
-from .network import build
+                          ablation_csv_lines, fit_fractal, fit_function,
+                          grad_check, run_ablation, run_classifier)
 
 GRADCHECK_TOL = 1e-5
 
 
-class UsageError(ValueError):
-    """Bad flags or config file; exit code 1, like every other ValueError."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +154,17 @@ def parse_config_file(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise UsageError(f"cannot read config file {path}: {e}")
+        raise ValueError(f"cannot read config file {path}: {e}")
     values, first = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in first:
-            raise UsageError(f"{path}:{lineno}: key {key!r} is already set on line {first[key]}")
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {first[key]}")
         first[key] = lineno
         values[key] = value
     return values
@@ -187,7 +179,7 @@ def resolve(command, opts, args):
         known = {o.name for o in opts}
         for key, value in parse_config_file(config_path).items():
             if key not in known:
-                raise UsageError(
+                raise ValueError(
                     f"unknown config key {key!r} for command {command}; "
                     f"valid keys: {', '.join(sorted(known))}"
                 )
@@ -202,7 +194,7 @@ def resolve(command, opts, args):
             try:
                 resolved[o.name] = o.conv(raw[o.name])
             except ValueError as e:
-                raise UsageError(f"bad value for {o.name}: {e}")
+                raise ValueError(f"bad value for {o.name}: {e}")
         else:
             resolved[o.name] = o.default
     return resolved
@@ -238,27 +230,6 @@ def _train_config(resolved):
 
 
 # ---------------------------------------------------------------------------
-# data plumbing
-
-def _load_mnist(resolved):
-    """The train and test splits from the run's data directory, the train
-    split cut to its first `subset` examples."""
-    subset = resolved["subset"]
-    if subset is not None and subset < 1:
-        raise UsageError(f"subset must be >= 1, got {subset}")
-    d = resolved["data_dir"]
-    d = Path(os.environ.get("CHEBYKAN_MNIST_DIR", "data/mnist") if d is None else d)
-    paths = [d / name for name in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)]
-    missing = [str(p) for p in paths if not p.is_file()]
-    if missing:
-        raise FileNotFoundError("missing MNIST files: " + ", ".join(missing))
-    train_raw = load_mnist_idx(*paths[:2])
-    train_raw = Dataset(features=train_raw.features[:subset],
-                        labels=train_raw.labels[:subset])
-    return train_raw, load_mnist_idx(*paths[2:])
-
-
-# ---------------------------------------------------------------------------
 # commands: each returns (exit code, one list of lines per output file)
 
 def _outputs(command, out):
@@ -268,7 +239,7 @@ def _outputs(command, out):
     if out is None:
         return []
     if out.endswith(os.sep) or not Path(out).name:  # "", "." or "dir/"
-        raise UsageError(f"bad value for out: {out!r} names no file")
+        raise ValueError(f"bad value for out: {out!r} names no file")
     paths = [out]  # as given, so `wrote` echoes it verbatim
     if command == "fractal":
         base = Path(out)
@@ -276,14 +247,15 @@ def _outputs(command, out):
                  for tag in ("_true", "_pred")]
     for p in map(Path, paths):
         if p.is_dir():
-            raise UsageError(f"bad value for out: {p} is a directory")
+            raise ValueError(f"bad value for out: {p} is a directory")
         if not p.parent.is_dir():
-            raise UsageError(f"bad value for out: {p.parent} is not a directory")
+            raise ValueError(f"bad value for out: {p.parent} is not a directory")
     return paths
 
 
 def cmd_mnist(resolved):
-    record = run_classifier(_train_config(resolved), *_load_mnist(resolved))
+    record = run_classifier(_train_config(resolved),
+                            *load_mnist(resolved["data_dir"], resolved["subset"]))
     print(f"final test accuracy: {record.final_metric!r}")
     return 0, [record.csv_lines()]
 
@@ -304,16 +276,12 @@ def cmd_approx(resolved):
 
 
 def cmd_fractal(resolved):
-    cfg = _train_config(resolved)
     params = FractalParams(**{f.name: resolved[f.name] for f in fields(FractalParams)})
-    ds = fractal_grid(params)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
-    # epochs=0 runs train's data checks, then evaluates the untrained model
-    initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
-    final_mse = train(model, ds, ds, cfg).final_metric
+    initial_mse, record, model, ds = fit_fractal(_train_config(resolved), params)
     model.eval()
     pred_ds = Dataset(features=ds.features, targets=model.forward(ds.features))
 
+    final_mse = record.final_metric
     ratio = final_mse / initial_mse if initial_mse > 0 else float("nan")
     print(f"initial MSE: {initial_mse!r}")
     print(f"final MSE:   {final_mse!r}  (ratio {ratio!r})")
@@ -322,8 +290,9 @@ def cmd_fractal(resolved):
 
 def cmd_ablate(resolved):
     if resolved["axis"] is None:
-        raise UsageError("--axis is required (init, degree, norm, or kind)")
-    rows = run_ablation(resolved["axis"], _train_config(resolved), *_load_mnist(resolved))
+        raise ValueError("--axis is required (init, degree, norm, or kind)")
+    rows = run_ablation(resolved["axis"], _train_config(resolved),
+                        *load_mnist(resolved["data_dir"], resolved["subset"]))
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "
               f"{r.param_count} params")

@@ -8,6 +8,7 @@ selectable normalization schemes, so the schemes compete on equal footing.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -120,6 +121,22 @@ def load_mnist_idx(images_path, labels_path):
     return Dataset(features=feats, labels=labs)
 
 
+def load_mnist(data_dir=None, subset=None):
+    """The MNIST train and test splits from the four IDX files in `data_dir`
+    ($CHEBYKAN_MNIST_DIR when None, else ./data/mnist), the train split cut
+    to its first `subset` examples. A subset below 1 raises ValueError before
+    any file is read; FileNotFoundError names every missing file."""
+    if subset is not None and subset < 1:
+        raise ValueError(f"subset must be >= 1, got {subset}")
+    d = Path(os.environ.get("CHEBYKAN_MNIST_DIR", "data/mnist") if data_dir is None else data_dir)
+    paths = [d / name for name in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)]
+    missing = [str(p) for p in paths if not p.is_file()]
+    if missing:
+        raise FileNotFoundError("missing MNIST files: " + ", ".join(missing))
+    train, test = load_mnist_idx(*paths[:2]), load_mnist_idx(*paths[2:])
+    return Dataset(features=train.features[:subset], labels=train.labels[:subset]), test
+
+
 def apply_norm(ds, scheme, stats=None):
     """Normalized copy of a dataset.
 
@@ -179,6 +196,8 @@ def sample_function(target, lo, hi, n, rng):
         raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(float(hi) - float(lo)):  # Python floats overflow without a warning
+        raise ValueError(f"hi - lo must be finite, got [{lo}, {hi}]")
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {sorted(TARGETS)}")
     x = rng.uniform(lo, hi, (n, 1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network
 from .chebyshev import PolyKind, _basis_stack
-from .data import Dataset, NormScheme, apply_norm, sample_function
+from .data import Dataset, NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
 from .ndcore import Rng
 from .network import ArchSpec, build
@@ -156,9 +156,10 @@ def train(model, train_ds, test_ds, cfg):
     mean squared error on targets), the architecture from the model, and
     only the schedule from `cfg`: its epochs, batch_size, lr, optimizer,
     momentum, seed and max_steps, which `TrainConfig.validate` checks; its
-    architecture fields are `build`'s to check. Shuffle order comes from the
-    (seed, "train/shuffle") substream, so a rerun with the same config
-    reproduces the trajectory exactly. DivergenceError names the epoch and
+    architecture fields are `build`'s to check. The model is left in training
+    mode, whatever its mode before. Shuffle order comes from the (seed,
+    "train/shuffle") substream, so a rerun with the same config reproduces
+    the trajectory exactly. DivergenceError names the epoch and
     batch of a non-finite batch loss, and the epoch and split of a non-finite
     loss in an epoch's row. epochs=0 or max_steps=0 just evaluates the
     initialized model (a single epoch-0 row). Before any step, ValueError
@@ -191,6 +192,7 @@ def train(model, train_ds, test_ds, cfg):
     rows = []
     n = len(train_ds)
     steps_left = math.inf if cfg.max_steps is None else cfg.max_steps
+    model.train()
     for epoch in range(1, cfg.epochs + 1):
         if steps_left == 0:
             break
@@ -270,11 +272,11 @@ def grad_check(trials=100, h=1e-40, seed=1234):
     Relative error is |analytic - numeric| / max(1e-12, |numeric|). At degree
     0 the output ignores the input, so any nonzero analytic input gradient
     fails. A non-finite error makes the result non-finite, and an ``h`` that
-    is not finite and > 0, or ``trials < 1``, raises ValueError, since such a
-    run would measure nothing.
+    is not finite or is below the smallest normal float (a subnormal i*h loses
+    bits), or ``trials < 1``, raises ValueError: such a run measures nothing.
     """
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be finite and > 0, got {h}")
+    if not np.finfo(float).tiny <= h < math.inf:
+        raise ValueError(f"h must be finite and >= {np.finfo(float).tiny}, got {h}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     root = Rng(seed, "gradcheck")
@@ -339,6 +341,16 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     cfg = replace(cfg, epochs=steps, max_steps=steps)
     model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
     return train(model, train_ds, test_ds, cfg), model, test_ds
+
+
+def fit_fractal(cfg, params):
+    """Fit the fractal surface `params` describes, training and scoring on its
+    whole grid; returns the untrained MSE, the record, the model and the grid."""
+    ds = fractal_grid(params)
+    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
+    # epochs=0 runs train's data checks, then evaluates the untrained model
+    initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
+    return initial_mse, train(model, ds, ds, cfg), model, ds
 
 
 def run_ablation(axis, base_cfg, train_raw, test_raw):

@@ -1,13 +1,13 @@
 """Trainable layers: the Chebyshev KAN layer and LayerNorm.
 
 Every layer follows the same protocol: ``forward(x)`` caches whatever the
-matching ``backward(dLdy)`` needs (only while ``training`` is True, so
-inference on a frozen layer never mutates it), ``backward`` overwrites the
-parameter gradients fresh and returns dL/dx. ``param_names`` lists the
-parameter attributes in declaration order; the gradient of ``name`` lives in
-``grad_<name>``. Parameters are created in the ``dtype`` given to the
-constructor, and ``forward``/``backward`` coerce their input to it, so
-activations and gradients follow the parameters' precision.
+matching ``backward(dLdy)`` needs only while ``training`` is True, so
+inference never mutates a frozen layer, and there ``backward`` raises
+RuntimeError. ``backward`` overwrites the parameter gradients fresh and
+returns dL/dx. ``param_names`` lists the parameter attributes in declaration
+order; the gradient of ``name`` lives in ``grad_<name>``. Parameters are made
+in the ``dtype`` given to the constructor, and ``forward``/``backward`` cast
+their input to it: activations and gradients keep the parameters' precision.
 """
 
 import math
@@ -80,7 +80,7 @@ class ChebyKanLayer:
         return y
 
     def backward(self, dLdy):
-        if self._cache is None:
+        if not self.training or self._cache is None:  # the cache may predate eval mode
             raise RuntimeError("backward called before forward (or layer is in eval mode)")
         dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype)
         xt, t, w = self._cache
@@ -172,7 +172,7 @@ class LayerNorm:
         return self.gamma * xhat + self.beta
 
     def backward(self, dLdy):
-        if self._cache is None:
+        if not self.training or self._cache is None:  # the cache may predate eval mode
             raise RuntimeError("backward called before forward (or layer is in eval mode)")
         dLdy = ndcore.as_mat(dLdy, self.gamma.dtype)
         xhat, inv = self._cache

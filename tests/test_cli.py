@@ -52,6 +52,8 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         (["fractal", "--b", "nan", "--grid", "4"], "b"),
         (["gradcheck", "--h", "0", "--trials", "3"], "h"),
         (["gradcheck", "--h", "nan"], "h"),
+        (["gradcheck", "--h", "1e-320"], "h"),
+        (["approx", "--lo=-1e308", "--hi", "1e308"], "hi - lo"),
         (["gradcheck", "--trials", "0"], "trials"),
         (["gradcheck", "--trials", "-1"], "trials"),
         (["approx", "--widths", "2,8,1"], "widths"),
@@ -66,14 +68,14 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err, (argv, err)
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ValueError):
         cli.build_parser().parse_args(["nosuchcommand"])
 
 
 def test_unwritable_out_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("the run started")
-    for name in ("_load_mnist", "fit_function", "fractal_grid", "grad_check"):
+    for name in ("load_mnist", "fit_function", "fit_fractal", "grad_check"):
         monkeypatch.setattr(cli, name, ran)
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()

@@ -111,8 +111,9 @@ def test_sample_function_validation():
         sample_function("sin_plus_sq", 1.0, -1.0, 5, Rng(0, "s"))
     with pytest.raises(ValueError):
         sample_function("nope", -1.0, 1.0, 5, Rng(0, "s"))
+    # the last pair is finite, but hi - lo overflows
     for lo, hi in ((float("nan"), 1.0), (-1.0, float("nan")),
-                   (float("-inf"), 1.0), (-1.0, float("inf"))):
+                   (float("-inf"), 1.0), (-1.0, float("inf")), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             sample_function("sin_plus_sq", lo, hi, 5, Rng(0, "s"))
 

@@ -39,9 +39,11 @@ def test_train_regression_improves_and_logs_rows():
 
 def test_train_is_deterministic():
     runs = []
-    for _ in range(2):
+    for mode in (True, False):  # a model left in eval mode trains the same
         cfg = _small_cfg()
-        record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+        model = _build_for(cfg).train(mode)
+        record = train(model, _toy_regression(), _toy_regression(seed=1), cfg)
+        assert model.training
         runs.append([(r.epoch, r.train_loss, r.test_loss, r.metric)
                      for r in record.rows])
     assert runs[0] == runs[1]
@@ -205,7 +207,8 @@ def test_grad_check_flags_corrupted_backward(monkeypatch):
 
 
 def test_grad_check_rejects_empty_audits_and_keeps_nan(monkeypatch):
-    for kwargs in (dict(h=0.0), dict(h=-1e-6), dict(h=float("nan")),
+    # a subnormal h keeps too few bits in i*h to measure anything
+    for kwargs in (dict(h=0.0), dict(h=-1e-6), dict(h=float("nan")), dict(h=1e-320),
                    dict(h=float("inf")), dict(trials=0), dict(trials=-1)):
         with pytest.raises(ValueError):
             grad_check(**kwargs)

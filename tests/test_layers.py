@@ -89,6 +89,14 @@ def test_eval_mode_does_not_cache():
     layer.forward(np.zeros((1, 2)))
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((1, 2)))
+    # a cache from a training forward would give x1's gradient for x2
+    x1, x2 = Rng(4, "x").uniform(-1.0, 1.0, (2, 3, 2))
+    for layer in (_filled_layer(2, 2, 3), LayerNorm(2)):
+        layer.forward(x1)
+        layer.training = False
+        layer.forward(x2)
+        with pytest.raises(RuntimeError, match="eval mode"):
+            layer.backward(np.ones((3, 2)))
 
 
 def test_xavier_bounds_and_fan_scaling():

@@ -1,5 +1,6 @@
 """Seeded property sweep over the ChebyKanLayer: widths 1-5, degree 0-8, both
-kinds, batch sizes 1, 3 and 7, drawn from the package's own Rng.
+kinds, LayerNorm between layers or not, batch sizes 1, 3 and 7, drawn from the
+package's own Rng.
 
 It reaches the corners grad_check never draws (degrees 7-8, float32), so it
 guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere,
@@ -30,7 +31,9 @@ H = 1e-6
 
 
 def _cases():
-    """One case per (degree, kind, repeat): widths, batch, input, loss weights."""
+    """One case per (degree, kind, repeat): widths, LayerNorm, batch, input,
+    loss weights. LayerNorm comes from its own substream, so drawing it shifts
+    none of the other draws."""
     root = Rng(2024, "sweep")
     for degree in range(9):
         for kind in KINDS:
@@ -40,14 +43,15 @@ def _cases():
                 batch = (1, 3, 7)[r.integers(0, 3)]
                 x = r.uniform(-2.0, 2.0, (batch, widths[0]))
                 w = r.uniform(-1.0, 1.0, (batch, widths[-1]))
-                yield widths, degree, kind, x, w, r.substream("init")
+                ln = r.substream("ln").integers(0, 2) == 1
+                yield widths, degree, kind, ln, x, w, r.substream("init")
 
 
 CASES = list(_cases())
 
 
-def _model(widths, degree, kind, rng, dtype):
-    spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=False)
+def _model(widths, degree, kind, ln, rng, dtype):
+    spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=ln)
     return build(spec, InitMethod.LECUN, rng, dtype)
 
 
@@ -60,28 +64,28 @@ def _grads(model, x, w):
 
 
 def test_forward_equals_einsum_over_eval_basis():
-    for widths, degree, kind, x, _, init in CASES:
-        layer = _model(widths[:2], degree, kind, init, np.float64).layers[0]
+    for widths, degree, kind, _, x, _, init in CASES:
+        layer = _model(widths[:2], degree, kind, False, init, np.float64).layers[0]
         basis = np.array([[eval_basis(v, degree, kind) for v in row] for row in np.tanh(x)])
         expect = np.einsum("bij,ioj->bo", basis, layer.coeffs)
         np.testing.assert_allclose(layer.forward(x), expect, rtol=1e-12, atol=1e-12)
 
 
 def test_float64_gradients_match_complex_step():
-    for widths, degree, kind, x, w, init in CASES:
-        model = _model(widths, degree, kind, init, np.float64)
-        label = str((widths, degree, kind, x.shape[0]))
+    for widths, degree, kind, ln, x, w, init in CASES:
+        model = _model(widths, degree, kind, ln, init, np.float64)
+        label = str((widths, degree, kind, ln, x.shape[0]))
         numeric = _complex_step(model, x, lambda y: np.sum(w * y), 1e-40)
         for analytic, num in zip(_grads(model, x, w), numeric):
             np.testing.assert_allclose(analytic, num, rtol=1e-5, atol=1e-9, err_msg=label)
 
 
 def test_float32_gradients_match_float64():
-    for widths, degree, kind, x, w, init in CASES:
-        g64, dx64 = _grads(_model(widths, degree, kind, init, np.float64), x, w)
-        g32, dx32 = _grads(_model(widths, degree, kind, init, np.float32), x, w)
+    for widths, degree, kind, ln, x, w, init in CASES:
+        g64, dx64 = _grads(_model(widths, degree, kind, ln, init, np.float64), x, w)
+        g32, dx32 = _grads(_model(widths, degree, kind, ln, init, np.float32), x, w)
         assert g32.dtype == dx32.dtype == np.float32
-        label = str((widths, degree, kind, x.shape[0]))
+        label = str((widths, degree, kind, ln, x.shape[0]))
         # float32 rounding of the coefficients, the basis and every sum,
         # relative to the largest entry of each gradient
         for lo, hi in ((g32, g64), (dx32, dx64)):
@@ -99,7 +103,7 @@ def test_eval_basis_derivative_matches_finite_difference(kind):
 
 def test_every_swept_architecture_survives_a_checkpoint(tmp_path):
     path, again = tmp_path / "net.bin", tmp_path / "again.bin"
-    for widths, degree, kind, x, _, init in CASES:
+    for widths, degree, kind, _, x, _, init in CASES:
         for ln in (False, True):
             spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=ln)
             model = build(spec, InitMethod.LECUN, init)
