@@ -3,7 +3,7 @@ import pytest
 
 from chebykan.chebyshev import PolyKind, eval_basis
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
-from chebykan.ndcore import Rng
+from chebykan.ndcore import Rng, ShapeError
 from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -81,6 +81,15 @@ def test_backward_before_forward_raises():
     layer = _filled_layer(2, 2, 3)
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((1, 2)))
+    # a wrong input width, then a cotangent whose batch or width is wrong
+    for layer in (_filled_layer(2, 3, 3), LayerNorm(3)):
+        width = 2 if isinstance(layer, ChebyKanLayer) else 3
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros((4, width + 1)))
+        layer.forward(np.zeros((4, width)))
+        for bad in ((4, 2), (5, 3)):
+            with pytest.raises(ShapeError):
+                layer.backward(np.ones(bad))
 
 
 def test_eval_mode_does_not_cache():
@@ -128,6 +137,13 @@ def test_orthogonal_init_has_orthonormal_columns():
     init_coeffs(layer, InitMethod.ORTHOGONAL, Rng(0, "init"))
     m = layer.coeffs.transpose(0, 2, 1).reshape(15, 3)
     np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-12)
+    # a wide layer, fewer rows than columns, has orthonormal rows instead
+    for in_dim, degree in ((1, 0), (2, 1)):
+        layer = ChebyKanLayer(in_dim, 8, degree, F)
+        init_coeffs(layer, InitMethod.ORTHOGONAL, Rng(0, "init"))
+        rows = in_dim * (degree + 1)
+        m = layer.coeffs.transpose(0, 2, 1).reshape(rows, 8)
+        np.testing.assert_allclose(m @ m.T, np.eye(rows), atol=1e-12)
 
 
 def test_normal_init_is_standard_normal():
