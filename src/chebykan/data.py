@@ -93,7 +93,16 @@ def read_idx(path, expected_magic):
 
 
 def write_idx(path, arr):
-    """Write a uint8 array as IDX: 1-D arrays as labels, 3-D as images."""
+    """Write an array of bytes as IDX: 1-D arrays as labels, 3-D as images.
+    Any dtype but an integer one, and any value outside [0, 255], raises
+    ValueError rather than being cast."""
+    arr = np.asarray(arr)
+    if arr.dtype != np.uint8:
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"IDX writer needs an integer array, got dtype {arr.dtype}")
+        if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
+            raise ValueError(f"IDX writer needs values in [0, 255], "
+                             f"got [{arr.min()}, {arr.max()}]")
     arr = np.ascontiguousarray(arr, dtype=np.uint8)
     if arr.ndim == 1:
         magic = LABELS_MAGIC
@@ -201,7 +210,11 @@ def sample_function(target, lo, hi, n, rng):
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {sorted(TARGETS)}")
     x = rng.uniform(lo, hi, (n, 1))
-    return Dataset(features=x, targets=TARGETS[target](x))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
+        y = TARGETS[target](x)
+    if not np.isfinite(y).all():
+        raise ValueError(f"target {target!r} is not finite on [lo, hi] = [{lo}, {hi}]")
+    return Dataset(features=x, targets=y)
 
 
 @dataclass
@@ -241,12 +254,16 @@ def fractal_grid(params):
     b = 0 degenerates to the exact seed surface.
     """
     params.validate()
-    axis = np.linspace(-params.extent, params.extent, params.grid)
-    gx, gy = np.meshgrid(axis, axis, indexing="xy")
-    z = fractal_seed(gx, gy)
-    for i in range(1, params.iters + 1):
-        noise = Rng(params.seed, f"fractal-noise/{i}").normal(0.0, 1.0, z.shape)
-        z = z + params.alpha * params.b * noise
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
+        axis = np.linspace(-params.extent, params.extent, params.grid)
+        gx, gy = np.meshgrid(axis, axis, indexing="xy")
+        z = fractal_seed(gx, gy)
+        for i in range(1, params.iters + 1):
+            noise = Rng(params.seed, f"fractal-noise/{i}").normal(0.0, 1.0, z.shape)
+            z = z + params.alpha * params.b * noise
+    if not np.isfinite(z).all():
+        raise ValueError(f"the surface is not finite for extent {params.extent}, "
+                         f"alpha {params.alpha} and b {params.b}")
     feats = np.column_stack([gx.ravel(), gy.ravel()])
     return Dataset(features=feats, targets=z.reshape(-1, 1))
 

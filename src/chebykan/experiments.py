@@ -18,7 +18,7 @@ from . import network
 from .chebyshev import PolyKind, _basis_stack
 from .data import Dataset, NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
-from .ndcore import Rng
+from .ndcore import Rng, check_seed
 from .network import ArchSpec, build
 from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
 
@@ -80,6 +80,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.optimizer == "sgd" and not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_seed(self.seed)
 
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,

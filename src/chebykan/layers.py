@@ -17,7 +17,6 @@ import numpy as np
 
 from . import ndcore
 from .chebyshev import PolyKind, _basis_stack
-from .ndcore import ShapeError
 
 
 class InitMethod(Enum):
@@ -27,6 +26,14 @@ class InitMethod(Enum):
     UNIFORM = "uniform"
     LECUN = "lecun"
     ORTHOGONAL = "orthogonal"
+
+
+def _training_cache(layer):
+    """The cache of ``layer``'s last training forward, or RuntimeError if
+    there is none or the layer is now in eval mode (the cache may predate it)."""
+    if not layer.training or layer._cache is None:
+        raise RuntimeError("backward called before forward (or layer is in eval mode)")
+    return layer._cache
 
 
 class ChebyKanLayer:
@@ -66,9 +73,7 @@ class ChebyKanLayer:
         self._cache = None
 
     def forward(self, x):
-        x = ndcore.as_mat(x, self.coeffs.dtype)
-        if x.shape[1] != self.input_dim:
-            raise ShapeError(f"expected input width {self.input_dim}, got {x.shape[1]}")
+        x = ndcore.as_mat(x, self.coeffs.dtype, (None, self.input_dim))
         xt = np.tanh(x)
         t = _basis_stack(xt, self.degree, self.kind)
         # [i, o, j] -> [j*in + i, o], the basis's [b, j, i] order, so the
@@ -80,15 +85,9 @@ class ChebyKanLayer:
         return y
 
     def backward(self, dLdy):
-        if not self.training or self._cache is None:  # the cache may predate eval mode
-            raise RuntimeError("backward called before forward (or layer is in eval mode)")
-        dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype)
-        xt, t, w = self._cache
+        xt, t, w = _training_cache(self)
         batch = xt.shape[0]
-        if dLdy.shape != (batch, self.output_dim):
-            raise ShapeError(
-                f"expected cotangent shape {(batch, self.output_dim)}, got {dLdy.shape}"
-            )
+        dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype, (batch, self.output_dim))
         n1 = self.degree + 1
         g = t.reshape(batch, -1).T @ dLdy  # [(n+1)*in, out]
         self.grad_coeffs[...] = g.reshape(n1, self.input_dim, self.output_dim).transpose(1, 2, 0)
@@ -104,9 +103,9 @@ def init_coeffs(layer, method, rng):
 
     Fan-in/fan-out count basis terms, not just features: each output unit sums
     input_dim*(degree+1) weighted basis values, so fan_in = input_dim*(degree+1)
-    and fan_out = output_dim*(degree+1). The orthogonal method QR-orthonormalizes
-    a standard normal matrix of shape (input_dim*(degree+1)) x output_dim and
-    reshapes it into the coefficient tensor.
+    and fan_out = output_dim*(degree+1). The orthogonal method draws a standard
+    normal fan_in x output_dim matrix and QR-orthonormalizes it in its tall
+    orientation: orthonormal columns, or orthonormal rows for a wide layer.
     """
     n1 = layer.degree + 1
     fan_in = layer.input_dim * n1
@@ -124,14 +123,11 @@ def init_coeffs(layer, method, rng):
     elif method is InitMethod.UNIFORM:
         new = rng.uniform(-1.0 / fan_in, 1.0 / fan_in, shape)
     elif method is InitMethod.ORTHOGONAL:
-        rows, cols = layer.input_dim * n1, layer.output_dim
-        m = rng.normal(0.0, 1.0, (rows, cols))
-        if rows >= cols:
-            q, r = np.linalg.qr(m)
-            q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-        else:
-            q, r = np.linalg.qr(m.T)
-            q = (q * np.where(np.diag(r) < 0, -1.0, 1.0)).T
+        m = rng.normal(0.0, 1.0, (fan_in, layer.output_dim))
+        wide = fan_in < layer.output_dim
+        q, r = np.linalg.qr(m.T if wide else m)
+        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)  # the QR with diag(r) >= 0
+        q = q.T if wide else q
         new = q.reshape(layer.input_dim, n1, layer.output_dim).transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown init method: {method}")
@@ -160,9 +156,7 @@ class LayerNorm:
         self._cache = None
 
     def forward(self, x):
-        x = ndcore.as_mat(x, self.gamma.dtype)
-        if x.shape[1] != self.dim:
-            raise ShapeError(f"expected input width {self.dim}, got {x.shape[1]}")
+        x = ndcore.as_mat(x, self.gamma.dtype, (None, self.dim))
         d = x - x.mean(axis=1, keepdims=True)
         var = np.mean(d * d, axis=1, keepdims=True)  # np.var's own steps
         inv = 1.0 / np.sqrt(var + self.eps)
@@ -172,12 +166,8 @@ class LayerNorm:
         return self.gamma * xhat + self.beta
 
     def backward(self, dLdy):
-        if not self.training or self._cache is None:  # the cache may predate eval mode
-            raise RuntimeError("backward called before forward (or layer is in eval mode)")
-        dLdy = ndcore.as_mat(dLdy, self.gamma.dtype)
-        xhat, inv = self._cache
-        if dLdy.shape != xhat.shape:
-            raise ShapeError(f"expected cotangent shape {xhat.shape}, got {dLdy.shape}")
+        xhat, inv = _training_cache(self)
+        dLdy = ndcore.as_mat(dLdy, self.gamma.dtype, xhat.shape)
         self.grad_beta[...] = dLdy.sum(axis=0)
         self.grad_gamma[...] = (dLdy * xhat).sum(axis=0)
         d = self.dim

@@ -11,19 +11,30 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 class ShapeError(ValueError):
     """An operand violated a documented shape contract."""
 
 
-def as_mat(x, dtype=np.float64):
-    """Coerce to a C-contiguous 2-D array of ``dtype``, or raise ShapeError."""
+def as_mat(x, dtype=np.float64, shape=(None, None)):
+    """Coerce to a C-contiguous 2-D array of ``dtype`` and the given
+    ``(rows, cols)`` shape, where None matches any size, or raise ShapeError."""
     a = np.ascontiguousarray(x, dtype=dtype)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got shape {a.shape}")
+    rows, cols = shape
+    if a.ndim != 2 or rows is not None and a.shape[0] != rows or (
+            cols is not None and a.shape[1] != cols):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        raise ShapeError(f"expected a 2-D array of shape ({want}), got shape {a.shape}")
     return a
+
+
+def check_seed(seed):
+    """``seed`` as an int, or ValueError unless it is an integer in
+    [0, 2**64): two seeds must never key the same generator."""
+    value = int(seed)
+    if value != seed or not 0 <= value < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
 
 
 class Rng:
@@ -37,7 +48,7 @@ class Rng:
     """
 
     def __init__(self, seed, stream="root"):
-        self.seed = int(seed) & _MASK64
+        self.seed = check_seed(seed)
         self.stream = str(stream)
         digest = hashlib.sha256(self.stream.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]

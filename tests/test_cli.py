@@ -54,6 +54,12 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         (["gradcheck", "--h", "nan"], "h"),
         (["gradcheck", "--h", "1e-320"], "h"),
         (["approx", "--lo=-1e308", "--hi", "1e308"], "hi - lo"),
+        (["approx", "--lo=-1e200", "--hi", "1e200"], "target"),
+        (["fractal", "--extent", "1e200", "--grid", "4"], "extent"),
+        (["fractal", "--alpha", "1e200", "--b", "1e200", "--grid", "4"], "alpha"),
+        (["approx", "--seed", "-1"], "seed"),
+        (["gradcheck", "--seed", "-1"], "seed"),
+        (["mnist", "--seed", "-1", "--data-dir", str(tmp_path / "nowhere")], "seed"),
         (["gradcheck", "--trials", "0"], "trials"),
         (["gradcheck", "--trials", "-1"], "trials"),
         (["approx", "--widths", "2,8,1"], "widths"),

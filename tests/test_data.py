@@ -18,6 +18,16 @@ def test_idx_round_trip(tmp_path):
     np.testing.assert_array_equal(read_idx(tmp_path / "labs", LABELS_MAGIC), labels)
 
 
+def test_write_idx_rejects_what_a_byte_cannot_hold(tmp_path):
+    # a cast would wrap 300 to 44 and -1 to 255, and floor 0.7 to 0
+    for bad in (np.array([300, -1, 9]), np.full((1, 2, 2), 0.7), np.array([True, False])):
+        with pytest.raises(ValueError):
+            write_idx(tmp_path / "x", bad)
+    assert not (tmp_path / "x").exists()
+    write_idx(tmp_path / "labs", np.array([0, 255, 9]))  # in range: written as bytes
+    np.testing.assert_array_equal(read_idx(tmp_path / "labs", LABELS_MAGIC), [0, 255, 9])
+
+
 def test_idx_header_layout():
     header = idx_header_bytes(IMAGES_MAGIC, (2, 28, 28))
     assert header[:4] == bytes([0, 0, 8, 3])
@@ -116,6 +126,9 @@ def test_sample_function_validation():
                    (float("-inf"), 1.0), (-1.0, float("inf")), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             sample_function("sin_plus_sq", lo, hi, 5, Rng(0, "s"))
+    # x is finite, but x * x overflows
+    with pytest.raises(ValueError, match="target 'sin_plus_sq' is not finite"):
+        sample_function("sin_plus_sq", -1e200, 1e200, 5, Rng(0, "s"))
 
 
 def test_fractal_seed_values():
@@ -156,6 +169,10 @@ def test_fractal_params_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 fractal_grid(FractalParams(grid=4, **{name: bad}))
+    # each value is finite, but the surface overflows
+    for big in (dict(extent=1e200), dict(alpha=1e200, b=1e200)):
+        with pytest.raises(ValueError, match="surface is not finite"):
+            fractal_grid(FractalParams(grid=4, **big))
 
 
 def test_grid_lines_round_trip():

@@ -82,8 +82,7 @@ def test_backward_before_forward_raises():
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((1, 2)))
     # a wrong input width, then a cotangent whose batch or width is wrong
-    for layer in (_filled_layer(2, 3, 3), LayerNorm(3)):
-        width = 2 if isinstance(layer, ChebyKanLayer) else 3
+    for layer, width in ((_filled_layer(2, 3, 3), 2), (LayerNorm(3), 3)):
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((4, width + 1)))
         layer.forward(np.zeros((4, width)))

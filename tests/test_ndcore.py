@@ -28,6 +28,11 @@ def test_rng_substream_differs_from_parent():
 
 
 def test_rng_rejects_bad_params():
+    # seeds outside [0, 2**64) would alias ones inside it
+    for seed in (-1, 2**64, 2**64 + 42, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            Rng(seed, "t")
+    assert Rng(2**64 - 1, "t").seed == 2**64 - 1
     r = Rng(0, "t")
     with pytest.raises(ValueError):
         r.uniform(2.0, 1.0, 3)
