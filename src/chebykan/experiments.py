@@ -150,6 +150,9 @@ def evaluate(model, ds, task):
     return _loss_and_metric(model, ds)[1]
 
 
+# an overflow in a step or an evaluation ends in a non-finite loss, which
+# raises DivergenceError, so numpy's warnings would only precede that message
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, train_ds, test_ds, cfg):
     """Minibatch training; returns per-epoch rows plus a final summary.
 

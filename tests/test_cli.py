@@ -261,17 +261,21 @@ def test_gradcheck_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "d.cfg"
-    # each run's one batch per epoch is finite; the step after it overflows
-    # the evaluation that closes epoch 1, and fractal's run ends there
-    for text, argv in (("optimizer = sgd\nlr = 1e200\nwidths = 1,4,1\n",
-                        ["approx", "--steps", "50", "--n", "64", "--test-n", "16"]),
-                       ("grid = 4\nepochs = 1\nlr = 1e300\n", ["fractal"])):
+    # each of the first two runs' one batch per epoch is finite; the step
+    # after it overflows the evaluation that closes epoch 1, and fractal's run
+    # ends there. The third run's first squared residual overflows. No numpy
+    # warning may precede the failure line
+    test_loss = "numerical failure: non-finite test loss at the end of epoch 1\n"
+    for text, argv, err in (
+            ("optimizer = sgd\nlr = 1e200\nwidths = 1,4,1\n",
+             ["approx", "--steps", "50", "--n", "64", "--test-n", "16"], test_loss),
+            ("grid = 4\nepochs = 1\nlr = 1e300\n", ["fractal"], test_loss),
+            ("", ["approx", "--lo=-1e150", "--hi", "1e150", "--steps", "5"],
+             "numerical failure: non-finite training loss at epoch 1, batch 0\n")):
         cfg.write_text(text)
-        with np.errstate(all="ignore"):
-            code = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        code = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "d.csv")])
         assert code == 3, argv
-        assert (capsys.readouterr().err
-                == "numerical failure: non-finite test loss at the end of epoch 1\n")
+        assert capsys.readouterr().err == err, argv
     assert not list(tmp_path.glob("d*.csv"))
 
 

@@ -1,30 +1,49 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from chebykan.chebyshev import PolyKind, eval_basis
-from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
+from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from chebykan.ndcore import Rng, ShapeError
 from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
 
 
-def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0):
-    layer = ChebyKanLayer(in_dim, out_dim, degree, kind)
+def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0, dtype=np.float64):
+    layer = ChebyKanLayer(in_dim, out_dim, degree, kind, dtype)
     init_coeffs(layer, InitMethod.LECUN, Rng(seed, "layer"))
     return layer
 
 
 def test_forward_shape_and_einsum_equivalence():
-    layer = _filled_layer(2, 3, 3)
-    x = Rng(1, "x").uniform(-2.0, 2.0, (3, 2))
-    y = layer.forward(x)
-    assert y.shape == (3, 3)
-    xt = np.tanh(x)
-    basis = np.stack([np.stack([eval_basis(v, 3, F) for v in row]) for row in xt])
-    assert basis.shape == (3, 2, 4)
-    expect = np.einsum("bij,ioj->bo", basis, layer.coeffs)
-    np.testing.assert_allclose(y, expect, atol=1e-14)
+    for kind, degree, dtype in itertools.product((F, S), (0, 5), (np.float64, np.float32)):
+        case = f"{kind}, degree {degree}, {np.dtype(dtype)}"
+        f64 = dtype == np.float64
+        layer = _filled_layer(2, 3, degree, kind, dtype=dtype)
+        x = Rng(1, "x").uniform(-2.0, 2.0, (3, 2))
+        y = layer.forward(x)
+        assert y.shape == (3, 3) and y.dtype == dtype, case
+        xt = np.tanh(x.astype(dtype))
+        basis = np.stack([np.stack([eval_basis(v, degree, kind) for v in row]) for row in xt])
+        assert basis.shape == (3, 2, degree + 1)
+        expect = np.einsum("bij,ioj->bo", basis, layer.coeffs)
+        np.testing.assert_allclose(y, expect, atol=1e-14 if f64 else 1e-5, err_msg=case)
+        # eval mode builds the basis a block of rows at a time; a batch of
+        # several blocks and a ragged tail, and an empty batch, match the
+        # training forward
+        layer = _filled_layer(784, 4, degree, kind, dtype=dtype)
+        rows = EVAL_BASIS_BYTES // (784 * (degree + 1) * np.dtype(dtype).itemsize)
+        tol = 1e-12 if f64 else 1e-5  # a block's own BLAS call may sum in another order
+        for batch in (2 * rows + 37, 0):
+            x = Rng(2, "x").uniform(-2.0, 2.0, (batch, 784))
+            layer.training = True
+            want = layer.forward(x)
+            layer.training = False
+            got = layer.forward(x)
+            assert got.shape == want.shape == (batch, 4) and got.dtype == dtype, case
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=case)
 
 
 def test_inputs_outside_unit_interval_are_squashed():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_train_eval_toggle_propagates():
     assert not any(l.training for l in model.layers)
     model.train()
     assert all(l.training for l in model.layers)
+
+
+def test_eval_forward_memory_is_bounded():
+    # eval mode streams the basis through the contraction a block of rows at
+    # a time; the whole degree-5 stack of this batch would be 6 times x
+    model = build(mnist_arch(5, S), InitMethod.LECUN, Rng(0, "t")).eval()
+    x = Rng(0, "x").uniform(-1.0, 1.0, (4096, 784))
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes + (8 << 20), peak
 
 
 def test_per_layer_substreams_are_stable():
