@@ -349,7 +349,9 @@ def main(argv=None):
         code, bodies = handler(resolved)
         echo = [f"# {c}" for c in config_lines(args.command, resolved)]
         for path, lines in zip(paths, bodies):
-            Path(path).write_text("\n".join(echo + lines) + "\n")
+            # surrogateescape, so the echoed out path keeps its own bytes
+            Path(path).write_text("\n".join(echo + lines) + "\n", encoding="utf-8",
+                                  errors="surrogateescape")
         if paths:
             print(f"wrote {' and '.join(paths)}")
         return code

@@ -209,7 +209,7 @@ def train(model, train_ds, test_ds, cfg):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
                 )
-            model.backward(dLdy)
+            model.backward(dLdy, input_grad=False)
             opt.step(model.flat_params, model.flat_grads)
             loss_sum += loss * len(idx)
             steps_left -= 1

@@ -3,11 +3,14 @@
 Every layer follows the same protocol: ``forward(x)`` caches whatever the
 matching ``backward(dLdy)`` needs only while ``training`` is True, so
 inference never mutates a frozen layer, and there ``backward`` raises
-RuntimeError. ``backward`` overwrites the parameter gradients fresh and
-returns dL/dx. ``param_names`` lists the parameter attributes in declaration
-order; the gradient of ``name`` lives in ``grad_<name>``. Parameters are made
-in the ``dtype`` given to the constructor, and ``forward``/``backward`` cast
-their input to it: activations and gradients keep the parameters' precision.
+RuntimeError. ``backward(dLdy, input_grad=True)`` overwrites the parameter
+gradients fresh and returns dL/dx; with ``input_grad=False`` it fills the
+same parameter gradients by the same ops, skips the dL/dx work and returns
+None, for a caller that reads no input gradient. ``param_names`` lists the
+parameter attributes in declaration order; the gradient of ``name`` lives in
+``grad_<name>``. Parameters are made in the ``dtype`` given to the
+constructor, and ``forward``/``backward`` cast their input to it: activations
+and gradients keep the parameters' precision.
 """
 
 import math
@@ -104,13 +107,15 @@ class ChebyKanLayer:
             np.matmul(t.reshape(len(t), len(w)), w, out=y[start:start + rows])
         return y
 
-    def backward(self, dLdy):
+    def backward(self, dLdy, input_grad=True):
         xt, t, w = _training_cache(self)
         batch = xt.shape[0]
         dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype, (batch, self.output_dim))
         n1 = self.degree + 1
         g = t.reshape(batch, len(w)).T @ dLdy  # [(n+1)*in, out]
         self.grad_coeffs[...] = g.reshape(n1, self.input_dim, self.output_dim).transpose(1, 2, 0)
+        if not input_grad:
+            return None
         gb = (dLdy @ w.T).reshape(batch, n1, self.input_dim)[:, 1:]  # dL/dP_k, k >= 1
         k = np.arange(1, n1, dtype=xt.dtype)
         s = 0.0 if self.kind is PolyKind.FIRST else 1.0
@@ -185,11 +190,13 @@ class LayerNorm:
             self._cache = (xhat, inv)
         return self.gamma * xhat + self.beta
 
-    def backward(self, dLdy):
+    def backward(self, dLdy, input_grad=True):
         xhat, inv = _training_cache(self)
         dLdy = ndcore.as_mat(dLdy, self.gamma.dtype, xhat.shape)
         self.grad_beta[...] = dLdy.sum(axis=0)
         self.grad_gamma[...] = (dLdy * xhat).sum(axis=0)
+        if not input_grad:
+            return None
         d = self.dim
         dxhat = dLdy * self.gamma
         return (inv / d) * (

@@ -91,10 +91,12 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, dLdy):
-        for layer in reversed(self.layers):
+    def backward(self, dLdy, input_grad=True):
+        """Fill ``flat_grads`` from dL/dy of the last forward; return dL/dx,
+        or None with ``input_grad=False``, where the first layer skips it."""
+        for layer in reversed(self.layers[1:]):
             dLdy = layer.backward(dLdy)
-        return dLdy
+        return self.layers[0].backward(dLdy, input_grad)
 
     def params(self):
         """Per-tensor views into ``flat_params``, in declaration order."""

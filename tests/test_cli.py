@@ -160,18 +160,34 @@ def test_flags_beat_config_file(tmp_path):
     assert "# lr = 0.5" in echoed     # config survives where no flag given
 
 
+def ascii_locale_env():
+    """The environment of a `python -m chebykan` run under an ASCII locale."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes("# café\nsteps = 5\n".encode("utf-8"))
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "chebykan", "approx", "--config", str(cfg), "--n", "16",
          "--test-n", "16", "--out", str(tmp_path / "o.csv")],
-        env=env, capture_output=True, text=True)
+        env=ascii_locale_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "# steps = 5" in comments(tmp_path / "o.csv")
+
+
+def test_non_ascii_out_path_is_written_under_an_ascii_locale(tmp_path):
+    # the path goes in and comes back as bytes, so this test also runs under
+    # an ASCII locale, where the name cannot be a str
+    out = os.fsencode(tmp_path) + "/é.csv".encode()
+    done = subprocess.run(
+        [sys.executable, "-m", "chebykan", "approx", "--steps", "2", "--n", "16",
+         "--test-n", "16", "--out", out], env=ascii_locale_env(), capture_output=True)
+    assert done.returncode == 0, done.stderr
+    with open(out, "rb") as fh:
+        assert b"# out = " + out + b"\n" in fh.read()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -197,8 +197,8 @@ def test_grad_check_small_run_passes():
 def test_grad_check_flags_corrupted_backward(monkeypatch):
     backward = ChebyKanLayer.backward
 
-    def flipped(self, dLdy):
-        dx = backward(self, dLdy)
+    def flipped(self, dLdy, *args):
+        dx = backward(self, dLdy, *args)
         np.negative(self.grad_coeffs, out=self.grad_coeffs)
         return dx
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from chebykan.chebyshev import PolyKind
+from chebykan.data import Dataset
+from chebykan.experiments import TrainConfig, train
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm
 from chebykan.ndcore import Rng
-from chebykan.network import (MNIST_WIDTHS, ArchSpec, build, load_network,
+from chebykan.network import (MNIST_WIDTHS, ArchSpec, Sequential, build, load_network,
                               mnist_arch, param_count, save_network)
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -62,6 +64,41 @@ def test_forward_backward_shapes():
     dLdx = model.backward(np.ones((7, 2)))
     assert dLdx.shape == (7, 3)
     assert model.flat_grads.shape == model.flat_params.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_without_input_grad_fills_the_same_grads(dtype):
+    x = Rng(3, "x").uniform(-1, 1, (6, 3))
+    g = Rng(3, "g").uniform(-1, 1, (6, 2))
+    models = [build(ArchSpec([3, 4, 2], degree, kind, layernorm_between=ln),
+                    InitMethod.LECUN, Rng(3, "t"), dtype=dtype)
+              for degree in (0, 3) for kind in (F, S) for ln in (True, False)]
+    hand = Sequential([LayerNorm(3, dtype=dtype), ChebyKanLayer(3, 2, 2, dtype=dtype)])
+    hand.flat_params[:] = Rng(3, "p").uniform(-1, 1, hand.flat_params.size)
+    for model in models + [hand]:
+        model.forward(x)
+        model.backward(g)
+        full = model.flat_grads.copy()
+        model.flat_grads[:] = np.nan
+        assert model.backward(g, input_grad=False) is None
+        assert model.flat_grads.tobytes() == full.tobytes()
+
+
+def test_train_skips_only_the_first_layers_input_grad(monkeypatch):
+    model = build(ArchSpec([3, 4, 4, 2], 2), InitMethod.LECUN, Rng(4, "t"))
+    kans = [l for l in model.layers if isinstance(l, ChebyKanLayer)]
+    seen = []
+    backward = ChebyKanLayer.backward
+
+    def spy(self, dLdy, input_grad=True):
+        seen.append((kans.index(self), input_grad))
+        return backward(self, dLdy, input_grad)
+
+    monkeypatch.setattr(ChebyKanLayer, "backward", spy)
+    rng = Rng(4, "d")
+    ds = Dataset(features=rng.uniform(-1, 1, (8, 3)), targets=rng.uniform(-1, 1, (8, 2)))
+    train(model, ds, ds, TrainConfig(epochs=1, batch_size=4))
+    assert seen == [(2, True), (1, True), (0, False)] * 2
 
 
 def test_train_eval_toggle_propagates():
