@@ -91,7 +91,8 @@ class Opt:
 def _shared_opts(out_default, f32=True):
     opts = [
         Opt("seed", int, 42, "base RNG seed"),
-        Opt("out", str.strip, out_default, "output path"),
+        # fsencode rejects a name the file system's encoding cannot hold
+        Opt("out", lambda s: os.fsdecode(os.fsencode(s.strip())), out_default, "output path"),
     ]
     if f32:
         opts.append(Opt("f32", _bool, False, "run in float32"))

@@ -238,7 +238,7 @@ def _einsum_forward(model, x, params):
     for layer in model.layers:
         if isinstance(layer, ChebyKanLayer):
             basis = _basis_stack(np.tanh(x), layer.degree, layer.kind)
-            x = np.einsum("bji,ioj->bo", basis, next(tensors))
+            x = np.einsum("bji,jio->bo", basis, next(tensors))
         elif isinstance(layer, LayerNorm):
             gamma, beta = next(tensors), next(tensors)
             d = x - x.mean(axis=1, keepdims=True)
@@ -258,11 +258,12 @@ def _complex_step(model, x, loss, h):
     n = model.flat_params.size
     z = np.concatenate([model.flat_params, np.ravel(x)]).astype(complex)
     grad = np.empty(z.size)
-    for i in range(z.size):
-        z.imag[i] = h
-        f = loss(_einsum_forward(model, z[n:].reshape(x.shape), z[:n]))
-        z.imag[i] = 0.0
-        grad[i] = f.imag / h if np.isfinite(f) else np.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # such an entry reads NaN
+        for i in range(z.size):
+            z.imag[i] = h
+            f = loss(_einsum_forward(model, z[n:].reshape(x.shape), z[:n]))
+            z.imag[i] = 0.0
+            grad[i] = f.imag / h if np.isfinite(f) else np.nan
     return grad[:n], grad[n:].reshape(x.shape)
 
 

@@ -1,13 +1,14 @@
 """Trainable layers: the Chebyshev KAN layer and LayerNorm.
 
 Every layer follows the same protocol: ``forward(x)`` caches whatever the
-matching ``backward(dLdy)`` needs only while ``training`` is True, so
-inference never mutates a frozen layer, and there ``backward`` raises
-RuntimeError. ``backward(dLdy, input_grad=True)`` overwrites the parameter
-gradients fresh and returns dL/dx; with ``input_grad=False`` it fills the
-same parameter gradients by the same ops, skips the dL/dx work and returns
-None, for a caller that reads no input gradient. ``param_names`` lists the
-parameter attributes in declaration order; the gradient of ``name`` lives in
+matching ``backward(dLdy)`` needs only while ``training`` is True. Inference
+never touches a layer's parameters or gradients: an eval-mode forward drops
+the cache, so ``backward`` after it, or in eval mode, raises RuntimeError.
+``backward(dLdy, input_grad=True)`` overwrites the parameter gradients fresh
+and returns dL/dx; with ``input_grad=False`` it fills the same parameter
+gradients by the same ops, skips the dL/dx work and returns None, for a
+caller that reads no input gradient. ``param_names`` lists the parameter
+attributes in declaration order; the gradient of ``name`` lives in
 ``grad_<name>``. Parameters are made in the ``dtype`` given to the
 constructor, and ``forward``/``backward`` cast their input to it: activations
 and gradients keep the parameters' precision.
@@ -41,39 +42,41 @@ class InitMethod(Enum):
 
 
 def _training_cache(layer):
-    """The cache of ``layer``'s last training forward, or RuntimeError if
-    there is none or the layer is now in eval mode (the cache may predate it)."""
+    """The cache of ``layer``'s last forward, or RuntimeError if that forward
+    ran in eval mode, there was none, or the layer is now in eval mode."""
     if not layer.training or layer._cache is None:
         raise RuntimeError("backward called before forward (or layer is in eval mode)")
     return layer._cache
 
 
 class ChebyKanLayer:
-    """Polynomial-basis layer: y[b,o] = sum_{i,j} P_j(tanh(x[b,i])) * coeffs[i,o,j].
+    """Polynomial-basis layer: y[b,o] = sum_{i,j} P_j(tanh(x[b,i])) * w[j,i,o].
 
     The tanh squashes every layer's input into (-1, 1) before the basis is
     built — it is part of the layer, not a dataset preprocessing step, so
     hidden activations stay in the range where the basis is well behaved.
-    ``coeffs`` has shape [input_dim, output_dim, degree+1], the checkpoint
-    order. The basis is degree-major, [batch, degree+1, input_dim], so the
-    contraction is a matmul against the coefficients laid out with row
-    ``j*input_dim + i`` holding ``coeffs[i, :, j]``; the tests pin it against
-    a brute force triple loop. A training forward builds the whole stack,
-    which backward reads, and contracts it in one matmul. An eval-mode
-    forward caches nothing, so it builds and contracts the stack a block of
-    rows at a time, at most EVAL_BASIS_BYTES each: its working set stays in
-    cache whatever the batch size, where the whole stack at degree 5 is six
-    times the input's size.
+    ``w`` is degree-major, [degree+1, input_dim, output_dim], like the basis
+    stack [batch, degree+1, input_dim], so the contraction is a matmul against
+    ``w.reshape(-1, output_dim)``, a view; the tests pin it against a brute
+    force triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and ``grad_w``
+    in the checkpoint order [input_dim, output_dim, degree+1]. A training
+    forward builds the whole stack, which backward reads, and contracts it in
+    one matmul. An eval-mode forward caches nothing, so it builds and
+    contracts the stack a block of rows at a time, at most EVAL_BASIS_BYTES
+    each: its working set stays in cache whatever the batch size, where the
+    whole stack at degree 5 is six times the input's size.
 
-    The input gradient reads only the cached basis. With xt = tanh(x), the
-    identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
+    The input gradient reads the cached basis and the current ``w``. With
+    xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
     (1-x^2) U'_k = (k+1) U_{k-1} - k x U_k (Mason & Handscomb, *Chebyshev
     Polynomials*, ch. 2) give dL/dx = sum_{k>=1} gb_k ((k+s) P_{k-1} - k xt P_k),
     with gb_k = dL/dP_k and s = 0 (first kind) or 1 (second). At degree 0 the
     sum is empty, so the input gradient is exactly zero.
     """
 
-    param_names = ("coeffs",)
+    param_names = ("w",)
+    coeffs = property(lambda self: self.w.transpose(1, 2, 0))
+    grad_coeffs = property(lambda self: self.grad_w.transpose(1, 2, 0))
 
     def __init__(self, input_dim, output_dim, degree, kind=PolyKind.FIRST, dtype=np.float64):
         if input_dim < 1 or output_dim < 1:
@@ -84,22 +87,21 @@ class ChebyKanLayer:
         self.output_dim = output_dim
         self.degree = degree
         self.kind = kind
-        self.coeffs = np.zeros((input_dim, output_dim, degree + 1), dtype=dtype)
-        self.grad_coeffs = np.zeros_like(self.coeffs)
+        self.w = np.zeros((degree + 1, input_dim, output_dim), dtype=dtype)
+        self.grad_w = np.zeros_like(self.w)
         self.training = True
         self._cache = None
 
     def forward(self, x):
-        x = ndcore.as_mat(x, self.coeffs.dtype, (None, self.input_dim))
-        # [i, o, j] -> [j*in + i, o], the basis's [b, j, i] order, so the
-        # contraction is a single matmul
-        w = self.coeffs.transpose(2, 0, 1).reshape(-1, self.output_dim)
+        x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
+        w = self.w.reshape(-1, self.output_dim)
         if self.training:
             xt = np.tanh(x)
             t = _basis_stack(xt, self.degree, self.kind)
-            self._cache = (xt, t, w)
+            self._cache = (xt, t)
             return t.reshape(len(x), len(w)) @ w
         # nothing to cache, so no more than EVAL_BASIS_BYTES of basis is live
+        self._cache = None
         y = np.empty((len(x), self.output_dim), dtype=w.dtype)
         rows = max(1, EVAL_BASIS_BYTES // (len(w) * w.itemsize))
         for start in range(0, len(x), rows):
@@ -108,12 +110,12 @@ class ChebyKanLayer:
         return y
 
     def backward(self, dLdy, input_grad=True):
-        xt, t, w = _training_cache(self)
+        xt, t = _training_cache(self)
         batch = xt.shape[0]
-        dLdy = ndcore.as_mat(dLdy, self.coeffs.dtype, (batch, self.output_dim))
+        dLdy = ndcore.as_mat(dLdy, self.w.dtype, (batch, self.output_dim))
         n1 = self.degree + 1
-        g = t.reshape(batch, len(w)).T @ dLdy  # [(n+1)*in, out]
-        self.grad_coeffs[...] = g.reshape(n1, self.input_dim, self.output_dim).transpose(1, 2, 0)
+        w = self.w.reshape(-1, self.output_dim)
+        np.matmul(t.reshape(batch, len(w)).T, dLdy, out=self.grad_w.reshape(w.shape))
         if not input_grad:
             return None
         gb = (dLdy @ w.T).reshape(batch, n1, self.input_dim)[:, 1:]  # dL/dP_k, k >= 1
@@ -186,8 +188,7 @@ class LayerNorm:
         var = np.mean(d * d, axis=1, keepdims=True)  # np.var's own steps
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = d * inv
-        if self.training:
-            self._cache = (xhat, inv)
+        self._cache = (xhat, inv) if self.training else None
         return self.gamma * xhat + self.beta
 
     def backward(self, dLdy, input_grad=True):

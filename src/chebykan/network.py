@@ -60,7 +60,7 @@ class Sequential:
     vector of the same size, ``flat_grads``. Every layer parameter (and its
     ``grad_`` twin) is rebound to a view into them, keeping its values, in
     declaration order: layer by layer, each layer's ``param_names`` in turn.
-    That is also the order of the checkpoint stream.
+    The checkpoint stream's order is save_network's and load_network's alone.
     """
 
     def __init__(self, layers):
@@ -149,19 +149,26 @@ def _layout(layers):
             if isinstance(layer, ChebyKanLayer) else layer.dim for layer in layers]
 
 
-def save_network(seq, spec, path):
-    """One ASCII header line, then the parameter vector as little-endian f64.
+def _checkpoint_tensors(layers):
+    """Checkpoint order: a KAN layer's ``coeffs``, a LayerNorm's gamma then beta."""
+    return [t for layer in layers for t in (
+        (layer.coeffs,) if isinstance(layer, ChebyKanLayer) else (layer.gamma, layer.beta))]
 
-    Header: ``chebykan-v1 <arch-string> <degree> <kind>``. The vector holds
-    the tensors in declaration order (coefficients per KAN layer, gamma then
-    beta per LayerNorm), each flattened row-major. A spec that does not
-    describe seq's layers raises ValueError.
+
+def save_network(seq, spec, path):
+    """One ASCII header line, then the parameters as little-endian f64.
+
+    Header: ``chebykan-v1 <arch-string> <degree> <kind>``. The stream holds
+    the tensors layer by layer (coefficients [input_dim, output_dim,
+    degree+1] per KAN layer, gamma then beta per LayerNorm), each flattened
+    row-major. A spec that does not describe seq's layers raises ValueError.
     """
     if _layout(seq.layers) != _layout(_layers(spec)):
         raise ValueError(f"network layers do not match spec {spec.arch_string()}")
     with open(path, "wb") as fh:
         fh.write(_header(spec))
-        fh.write(seq.flat_params.astype("<f8").tobytes())
+        for t in _checkpoint_tensors(seq.layers):
+            fh.write(t.astype("<f8").tobytes())
 
 
 def load_network(path):
@@ -190,5 +197,7 @@ def load_network(path):
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: parameter stream holds non-finite values")
     seq = Sequential(_layers(spec))
-    seq.flat_params[...] = flat
+    for t in _checkpoint_tensors(seq.layers):
+        t[...] = flat[:t.size].reshape(t.shape)
+        flat = flat[t.size:]
     return seq, spec

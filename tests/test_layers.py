@@ -116,14 +116,20 @@ def test_eval_mode_does_not_cache():
     layer.forward(np.zeros((1, 2)))
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((1, 2)))
-    # a cache from a training forward would give x1's gradient for x2
+    # a cache from a training forward would give x1's gradient for x2, also
+    # once the layer is back in training mode
     x1, x2 = Rng(4, "x").uniform(-1.0, 1.0, (2, 3, 2))
-    for layer in (_filled_layer(2, 2, 3), LayerNorm(2)):
-        layer.forward(x1)
-        layer.training = False
-        layer.forward(x2)
+    kan, ln = _filled_layer(2, 2, 3), LayerNorm(2)
+    for layers in ([kan], [ln], [kan, ln]):
+        model = Sequential(layers)
+        model.forward(x1)
+        model.eval().forward(x2)
         with pytest.raises(RuntimeError, match="eval mode"):
-            layer.backward(np.ones((3, 2)))
+            model.backward(np.ones((3, 2)))
+        model.train()
+        for stage in [model] + layers:
+            with pytest.raises(RuntimeError, match="before forward"):
+                stage.backward(np.ones((3, 2)))
 
 
 def test_xavier_bounds_and_fan_scaling():
@@ -229,13 +235,23 @@ def test_params_and_grads_line_up():
     coeffs = layer.coeffs.copy()
     ln = LayerNorm(3)
     model = Sequential([layer, ln])
-    assert [p.shape for p in model.params()] == [(2, 3, 5), (3,), (3,)]
+    # the KAN block is degree-major, [degree+1, in, out]
+    assert [p.shape for p in model.params()] == [(5, 2, 3), (3,), (3,)]
     assert model.flat_params.shape == model.flat_grads.shape == (30 + 3 + 3,)
     # the stack keeps the layers' values and gradients sit at the same offsets
     np.testing.assert_array_equal(layer.coeffs, coeffs)
     np.testing.assert_array_equal(model.flat_params[30:], [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     assert np.shares_memory(layer.grad_coeffs, model.flat_grads[:30])
     assert np.shares_memory(ln.grad_beta, model.flat_grads[33:])
+    # coeffs[i, o, j] is w[j, i, o], at offset (j*2 + i)*3 + o of flat_params
+    layer.coeffs[1, 2, 3] = 7.0
+    assert model.flat_params[(3 * 2 + 1) * 3 + 2] == layer.w[3, 1, 2] == 7.0
+    # the forward's [(degree+1)*in, out] matrix is a view, not a copy
+    assert np.shares_memory(layer.w.reshape(-1, 3), model.flat_params[:30])
+    model.flat_grads[:] = np.nan
+    layer.forward(Rng(1, "x").uniform(-1.0, 1.0, (4, 2)))
+    layer.backward(np.ones((4, 3)), input_grad=False)
+    assert np.isfinite(model.flat_grads[:30]).all()
 
 
 def test_constructor_validation():

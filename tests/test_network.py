@@ -215,21 +215,23 @@ def test_load_rejects_corruption(tmp_path):
 def test_layers_are_views_into_the_parameter_vector():
     model = build(ArchSpec([3, 4, 2], 2, F), InitMethod.XAVIER, Rng(0, "t"))
     kan0, ln, kan1 = model.layers
-    n0, n1 = kan0.coeffs.size, kan1.coeffs.size
+    n0, n1 = kan0.w.size, kan1.w.size
     assert model.flat_params.size == n0 + 8 + n1
     model.flat_params[:] = np.arange(model.flat_params.size)
-    np.testing.assert_array_equal(kan0.coeffs.ravel(), np.arange(n0))
+    # each KAN block is degree-major: w[j, i, o]
+    np.testing.assert_array_equal(kan0.w.ravel(), np.arange(n0))
     np.testing.assert_array_equal(ln.gamma, np.arange(n0, n0 + 4))
     np.testing.assert_array_equal(ln.beta, np.arange(n0 + 4, n0 + 8))
-    np.testing.assert_array_equal(kan1.coeffs.ravel(), np.arange(n0 + 8, n0 + 8 + n1))
-    for p, view in zip(model.params(), (kan0.coeffs, ln.gamma, ln.beta, kan1.coeffs)):
+    np.testing.assert_array_equal(kan1.w.ravel(), np.arange(n0 + 8, n0 + 8 + n1))
+    np.testing.assert_array_equal(kan0.coeffs, np.arange(n0).reshape(3, 3, 4).transpose(1, 2, 0))
+    for p, view in zip(model.params(), (kan0.w, ln.gamma, ln.beta, kan1.w)):
         assert p is view
     model.flat_params[:] = Rng(0, "p").uniform(-0.5, 0.5, model.flat_params.size)
     model.flat_grads[:] = np.nan
     model.forward(Rng(0, "x").uniform(-1, 1, (5, 3)))
     model.backward(np.ones((5, 2)))
     assert np.all(np.isfinite(model.flat_grads))
-    np.testing.assert_array_equal(model.flat_grads[:n0], kan0.grad_coeffs.ravel())
+    np.testing.assert_array_equal(model.flat_grads[:n0], kan0.grad_w.ravel())
     np.testing.assert_array_equal(model.flat_grads[n0 + 4:n0 + 8], ln.grad_beta)
 
 
@@ -242,8 +244,10 @@ def test_dtype_is_fixed_at_build():
         assert model.flat_params.dtype == model.flat_grads.dtype == dtype
         assert all(p.dtype == dtype for p in model.params())
         y = model.forward(x)
+        model.flat_grads[:] = np.nan
         dLdx = model.backward(np.ones((5, 2)))
         assert y.dtype == dLdx.dtype == dtype
+        assert np.isfinite(model.flat_grads).all()  # every gradient written in place
     default = build(spec, InitMethod.LECUN, Rng(2, "t"))
     assert default.flat_params.dtype == np.float64
 

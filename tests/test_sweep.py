@@ -7,7 +7,8 @@ guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere,
 against the complex-step derivatives grad_check also reads.
 It also round-trips every swept architecture through a checkpoint, and feeds
 fuzzed checkpoints and IDX files to the loaders, which must reject each one
-with their documented error.
+with their documented error, and hostile config values to the CLI, which
+must end each run in a documented exit code.
 """
 
 import re
@@ -108,6 +109,13 @@ def test_every_swept_architecture_survives_a_checkpoint(tmp_path):
             spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=ln)
             model = build(spec, InitMethod.LECUN, init)
             save_network(model, spec, path)
+            # the stream: each KAN layer's [in, out, degree+1] coefficients,
+            # each LayerNorm's gamma then beta, row-major
+            tensors = [t for layer in model.layers for t in (
+                (np.moveaxis(layer.w, 0, -1),) if hasattr(layer, "w")
+                else (layer.gamma, layer.beta))]
+            stream = np.concatenate([t.ravel(order="C") for t in tensors]).astype("<f8")
+            assert path.read_bytes().split(b"\n", 1)[1] == stream.tobytes(), spec
             loaded, back = load_network(path)
             assert back == spec
             save_network(loaded, back, again)
@@ -145,6 +153,37 @@ def test_fuzzed_checkpoints_raise_value_error_naming_the_path(tmp_path):
         bad.write_bytes(edit)
         with pytest.raises(ValueError, match=re.escape(str(bad))):
             load_network(bad)
+
+
+# Values a config file might hold for any key. The budget keeps every run
+# tiny; keys whose large values would allocate at scale are not fuzzed.
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "", "x", "\u00e9", "1,,1")
+FUZZ_BUDGET = {"approx": {"steps": "3"}, "fractal": {"grid": "4", "epochs": "1"},
+               "gradcheck": {"trials": "1"}, "mnist": {"subset": "16", "epochs": "1"},
+               "ablate": {"axis": "norm", "subset": "16", "epochs": "1"}}
+UNFUZZED = {"grid", "n", "iters", "trials", "steps"}
+
+
+def test_fuzzed_config_values_exit_cleanly(tmp_path, synth_mnist_dir, monkeypatch, capsys):
+    """A config file that sets one key to a hostile value exits 0, 1 (an
+    error naming the key) or 3, or 2 for a data_dir with no IDX files, never
+    with a traceback or a numpy warning."""
+    monkeypatch.chdir(tmp_path)  # an `out` value names a file here
+    monkeypatch.setenv("CHEBYKAN_MNIST_DIR", str(synth_mnist_dir))
+    cases = [(command, o.name, value) for command in FUZZ_BUDGET
+             for o in cli.COMMANDS[command][1] if o.name not in UNFUZZED
+             for value in FUZZ_VALUES]
+    for command, key, value in cases:
+        config = tmp_path / "fuzz.cfg"
+        lines = {**FUZZ_BUDGET[command], key: value}
+        config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+        case = (command, key, value)
+        code = cli.main([command, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 3) or code == 2 and key == "data_dir", (case, err)
+        assert "Traceback" not in err and "Warning" not in err, (case, err)
+        if code == 1:
+            assert re.search(rf"\b{key}\b", err), (case, err)
 
 
 def test_fuzzed_idx_files_raise_idx_format_error(tmp_path):
