@@ -2,15 +2,20 @@
 Anatomy of one Chebyshev KAN layer
 ==================================
 
-A layer holds a coefficient tensor C of shape [in, out, degree+1]. The forward
-pass squashes inputs through tanh, expands each squashed feature in the
-polynomial basis, and contracts. The layer builds its basis degree-major, a
-[batch, degree+1, in] tensor T, so the contraction is a single matmul:
+A layer stores its coefficients degree-major, a tensor w of shape
+[degree+1, in, out]; layer.coeffs is a view of it in the checkpoint's
+[in, out, degree+1] order, C[i, o, j] = w[j, i, o]. The forward pass squashes
+inputs through tanh, expands each squashed feature in the polynomial basis,
+and contracts. The layer builds its basis degree-major too, a
+[batch, degree+1, in] tensor T, so the contraction is a single matmul against
+w viewed as a [(degree+1)*in, out] matrix:
 
-    y[b, o] = sum_j sum_i T[b, j, i] * C[i, o, j]
+    y[b, o] = sum_j sum_i T[b, j, i] * w[j, i, o]
 
-Below, the same contraction is spelled out by hand on a [batch, in, degree+1]
-basis built one value at a time.
+One loop does this a block of rows at a time: in eval mode a block holds at
+most EVAL_BASIS_BYTES of basis, in training mode it is the whole batch, whose
+basis backward reads. Below, the same contraction is spelled out by hand on
+a [batch, in, degree+1] basis built one value at a time, against C.
 
 Backward is hand-derived, so here we audit it: one entry against a finite
 difference, then every entry of random networks against complex-step

@@ -113,11 +113,16 @@ class RunRecord:
                 + [f"# wall_time_s = {self.wall_time_s!r}"])
 
 
-def _objective(ds):
+def _objective(ds, name="the dataset"):
     """The loss for `ds` and the answers it scores against: softmax
-    cross-entropy on integer labels, else mean squared error on targets."""
+    cross-entropy on integer labels, else mean squared error on targets.
+    ValueError, naming `name`, if `ds` is empty or has neither."""
+    if len(ds) == 0:
+        raise ValueError(f"{name} is empty")
     if ds.labels is not None:
         return softmax_cross_entropy, ds.labels
+    if ds.targets is None:
+        raise ValueError(f"{name} has neither labels nor targets")
     return mse_loss, ds.targets
 
 
@@ -144,6 +149,7 @@ def _loss_and_metric(model, ds, chunk=1024):
 def evaluate(model, ds, task):
     """classify -> argmax-match fraction (argmax ties go to the lower class index);
     regress -> mean squared error. Labels need classify, targets regress."""
+    _objective(ds)  # empty or answerless: ValueError
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
         raise ValueError(f"task must be {fits!r} for this dataset, got {task!r}")
@@ -163,19 +169,19 @@ def train(model, train_ds, test_ds, cfg):
     architecture fields are `build`'s to check. The model is left in training
     mode, whatever its mode before. Shuffle order comes from the (seed,
     "train/shuffle") substream, so a rerun with the same config reproduces
-    the trajectory exactly. DivergenceError names the epoch and
-    batch of a non-finite batch loss, and the epoch and split of a non-finite
-    loss in an epoch's row. epochs=0 or max_steps=0 just evaluates the
-    initialized model (a single epoch-0 row). Before any step, ValueError
-    names the split if a split is empty or has non-finite features or
-    targets, and names `widths` unless the model's first width is each
+    the trajectory exactly. Each train_loss is the mean over the rows its
+    epoch trained on. DivergenceError names the epoch and batch of a
+    non-finite batch loss, and the epoch and split of a non-finite loss in an
+    epoch's row. epochs=0 or max_steps=0 just evaluates the initialized model
+    (a single epoch-0 row). Before any step, ValueError names the split if a
+    split is empty, has neither labels nor targets, or has non-finite features
+    or targets, and names `widths` unless the model's first width is each
     split's feature width and its last the target width or above the labels.
     """
     cfg.validate()
     first, last = model.layers[0].input_dim, model.layers[-1].output_dim
     for split, ds in (("train", train_ds), ("test", test_ds)):
-        if len(ds) == 0:
-            raise ValueError(f"the {split} dataset is empty")
+        _objective(ds, f"the {split} dataset")  # empty or answerless: ValueError
         for name, a in (("features", ds.features), ("targets", ds.targets)):
             # min and max propagate NaN and expose +/-inf without a mask array
             if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
@@ -216,7 +222,7 @@ def train(model, train_ds, test_ds, cfg):
             if steps_left == 0:
                 break
         test_loss, metric = _loss_and_metric(model, test_ds)
-        rows.append(EpochRow(epoch, loss_sum / n, test_loss, metric))
+        rows.append(EpochRow(epoch, loss_sum / (start + len(idx)), test_loss, metric))
     if not rows:  # no epoch ran: evaluate the initialized model
         train_loss, _ = _loss_and_metric(model, train_ds)
         test_loss, metric = _loss_and_metric(model, test_ds)

@@ -9,8 +9,8 @@ and returns dL/dx; with ``input_grad=False`` it fills the same parameter
 gradients by the same ops, skips the dL/dx work and returns None, for a
 caller that reads no input gradient. ``param_names`` lists the parameter
 attributes in declaration order; the gradient of ``name`` lives in
-``grad_<name>``. Parameters are made in the ``dtype`` given to the
-constructor, and ``forward``/``backward`` cast their input to it: activations
+``grad_<name>``. Parameters are made in the constructor's ``dtype``, float32
+or float64, and ``forward``/``backward`` cast their input to it: activations
 and gradients keep the parameters' precision.
 """
 
@@ -59,12 +59,12 @@ class ChebyKanLayer:
     stack [batch, degree+1, input_dim], so the contraction is a matmul against
     ``w.reshape(-1, output_dim)``, a view; the tests pin it against a brute
     force triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and ``grad_w``
-    in the checkpoint order [input_dim, output_dim, degree+1]. A training
-    forward builds the whole stack, which backward reads, and contracts it in
-    one matmul. An eval-mode forward caches nothing, so it builds and
-    contracts the stack a block of rows at a time, at most EVAL_BASIS_BYTES
-    each: its working set stays in cache whatever the batch size, where the
-    whole stack at degree 5 is six times the input's size.
+    in the checkpoint order [input_dim, output_dim, degree+1]. ``forward``
+    builds and contracts the stack a block of rows at a time. In eval mode a
+    block holds at most EVAL_BASIS_BYTES of basis, so the working set stays in
+    cache whatever the batch size, where the whole stack at degree 5 is six
+    times the input's size. In training mode the block is the whole batch,
+    because backward reads the whole stack.
 
     The input gradient reads the cached basis and the current ``w``. With
     xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -87,7 +87,7 @@ class ChebyKanLayer:
         self.output_dim = output_dim
         self.degree = degree
         self.kind = kind
-        self.w = np.zeros((degree + 1, input_dim, output_dim), dtype=dtype)
+        self.w = np.zeros((degree + 1, input_dim, output_dim), dtype=ndcore.check_dtype(dtype))
         self.grad_w = np.zeros_like(self.w)
         self.training = True
         self._cache = None
@@ -95,18 +95,13 @@ class ChebyKanLayer:
     def forward(self, x):
         x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
         w = self.w.reshape(-1, self.output_dim)
-        if self.training:
-            xt = np.tanh(x)
-            t = _basis_stack(xt, self.degree, self.kind)
-            self._cache = (xt, t)
-            return t.reshape(len(x), len(w)) @ w
-        # nothing to cache, so no more than EVAL_BASIS_BYTES of basis is live
-        self._cache = None
         y = np.empty((len(x), self.output_dim), dtype=w.dtype)
-        rows = max(1, EVAL_BASIS_BYTES // (len(w) * w.itemsize))
-        for start in range(0, len(x), rows):
-            t = _basis_stack(np.tanh(x[start:start + rows]), self.degree, self.kind)
+        rows = max(1, len(x) if self.training else EVAL_BASIS_BYTES // (len(w) * w.itemsize))
+        for start in range(0, max(1, len(x)), rows):  # a 0-row batch is one empty block
+            xt = np.tanh(x[start:start + rows])
+            t = _basis_stack(xt, self.degree, self.kind)
             np.matmul(t.reshape(len(t), len(w)), w, out=y[start:start + rows])
+        self._cache = (xt, t) if self.training else None
         return y
 
     def backward(self, dLdy, input_grad=True):
@@ -175,8 +170,8 @@ class LayerNorm:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.eps = eps
-        self.gamma = np.ones(dim, dtype=dtype)
-        self.beta = np.zeros(dim, dtype=dtype)
+        self.gamma = np.ones(dim, dtype=ndcore.check_dtype(dtype))
+        self.beta = np.zeros_like(self.gamma)
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)
         self.training = True

@@ -2,9 +2,9 @@
 
 Arrays are plain numpy ndarrays (row-major, real dtype); the helpers here pin
 down layout and the reproducibility contract the rest of the package relies
-on. Data and random draws are float64. A model's precision is fixed when it
-is built (``network.build``'s ``dtype``), and its layers coerce their inputs
-to it; float32 is not suitable for gradient checking.
+on. Data and random draws are float64. A layer's precision, float32 or
+float64 (``check_dtype``), is fixed when it is built, and it coerces its
+inputs to it; float32 is not suitable for gradient checking.
 """
 
 import hashlib
@@ -35,6 +35,13 @@ def check_seed(seed):
     if value != seed or not 0 <= value < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return value
+
+
+def check_dtype(dtype):
+    """``dtype`` as a numpy dtype, or ValueError unless it is float32 or float64."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
+    return np.dtype(dtype)
 
 
 class Rng:

@@ -107,8 +107,6 @@ def _layers(spec, dtype=np.float64):
     """The zeroed layers spec describes, in order: a LayerNorm follows each
     KAN layer except the last."""
     spec.validate()
-    if np.dtype(dtype) not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
     w, n_pairs = spec.widths, len(spec.widths) - 1
     layers = []
     for k in range(n_pairs):

@@ -78,6 +78,38 @@ def test_max_steps_zero_takes_no_step():
         [(r.epoch, r.train_loss, r.test_loss, r.metric) for r in expect.rows]
 
 
+def test_cut_short_epoch_averages_over_the_rows_it_trained_on():
+    # every row is the same and the step too small to move the loss, so any
+    # batch's loss is a full epoch's; 256 rows / batch 64 = 4 steps per epoch,
+    # and 6 steps end epoch 2 after half its rows
+    ds = Dataset(features=np.full((256, 1), 0.3), targets=np.full((256, 1), 0.8))
+    full, cut = (train(_build_for(_small_cfg()), ds, ds,
+                       _small_cfg(epochs=2, batch_size=64, lr=1e-12, max_steps=steps))
+                 for steps in (None, 6))
+    assert [r.epoch for r in cut.rows] == [1, 2]
+    assert cut.rows[0] == full.rows[0]
+    np.testing.assert_allclose(cut.rows[1].train_loss, full.rows[1].train_loss, rtol=1e-9)
+
+
+def test_answerless_or_empty_dataset_raises_value_error():
+    cfg = _small_cfg()
+    ds = _toy_regression()
+    answerless = Dataset(features=ds.features)
+    empty = Dataset(features=ds.features[:0], targets=ds.targets[:0])
+    for split, pair in (("train", (answerless, ds)), ("test", (ds, answerless))):
+        with pytest.raises(ValueError, match=f"the {split} dataset has neither labels nor targets"):
+            train(_build_for(cfg), *pair, cfg)
+    model = _build_for(cfg)
+    for task in ("classify", "regress"):
+        with pytest.raises(ValueError, match="the dataset has neither labels nor targets"):
+            evaluate(model, answerless, task)
+        with pytest.raises(ValueError, match="the dataset is empty"):
+            evaluate(model, empty, task)
+    labelled = Dataset(features=ds.features[:0], labels=np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="the dataset is empty"):
+        evaluate(model, labelled, "classify")
+
+
 def test_empty_split_raises_value_error_naming_it():
     cfg = _small_cfg()
     ds = _toy_regression()

@@ -44,6 +44,18 @@ def test_forward_shape_and_einsum_equivalence():
             got = layer.forward(x)
             assert got.shape == want.shape == (batch, 4) and got.dtype == dtype, case
             np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=case)
+        # a training forward is the eval loop's one block over the whole
+        # batch, so up to one eval block the two forwards are bit-identical
+        for batch in (rows, 3, 1, 0):
+            x = Rng(3, "x").uniform(-2.0, 2.0, (batch, 784))
+            layer.training = True
+            want = layer.forward(x)
+            xt, t = layer._cache
+            assert t.shape == (batch, degree + 1, 784) and xt.dtype == t.dtype == dtype, case
+            layer.training = False
+            got = layer.forward(x)
+            assert layer._cache is None and got.dtype == want.dtype == dtype, case
+            np.testing.assert_array_equal(got, want, err_msg=f"{case}, batch {batch}")
 
 
 def test_inputs_outside_unit_interval_are_squashed():
@@ -261,3 +273,14 @@ def test_constructor_validation():
         ChebyKanLayer(2, 2, -1, F)
     with pytest.raises(ValueError):
         LayerNorm(0)
+    # an integer layer would truncate its input 0.7 to 0; ndcore.check_dtype's
+    # own test covers the other dtypes
+    for dtype in (np.int64, np.float16, "i8"):
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            ChebyKanLayer(1, 1, 1, F, dtype=dtype)
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            LayerNorm(2, dtype=dtype)
+    for dtype in (np.float32, np.float64, "float32", "f8"):
+        assert ChebyKanLayer(1, 1, 1, F, dtype=dtype).w.dtype == dtype
+        layer = LayerNorm(2, dtype=dtype)
+        assert layer.gamma.dtype == layer.beta.dtype == dtype

@@ -48,3 +48,12 @@ def test_permutation_covers_range():
 def test_as_mat_rejects_wrong_rank():
     with pytest.raises(ShapeError):
         ndcore.as_mat(np.zeros((2, 2, 2)))
+
+
+def test_check_dtype_admits_only_float32_and_float64():
+    for dtype in (np.float32, np.float64, "float32", "f8", np.dtype("<f4")):
+        assert ndcore.check_dtype(dtype) == np.dtype(dtype)
+        assert isinstance(ndcore.check_dtype(dtype), np.dtype)
+    for dtype in (np.int64, np.uint8, np.bool_, np.float16, np.complex64, object):
+        with pytest.raises(ValueError, match="unsupported dtype .*; use float32 or float64"):
+            ndcore.check_dtype(dtype)

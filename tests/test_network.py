@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,5 +254,7 @@ def test_dtype_is_fixed_at_build():
 
 
 def test_build_rejects_non_float_dtype():
-    with pytest.raises(ValueError):
-        build(ArchSpec([2, 2], 1), InitMethod.XAVIER, Rng(0, "t"), dtype=np.int32)
+    for dtype in (np.int32, np.int64):
+        message = f"unsupported dtype {dtype}; use float32 or float64"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(ArchSpec([2, 2], 1), InitMethod.XAVIER, Rng(0, "t"), dtype=dtype)
