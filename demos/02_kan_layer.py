@@ -6,11 +6,13 @@ A layer stores its coefficients degree-major, a tensor w of shape
 [degree+1, in, out]; layer.coeffs is a view of it in the checkpoint's
 [in, out, degree+1] order, C[i, o, j] = w[j, i, o]. The forward pass squashes
 inputs through tanh, expands each squashed feature in the polynomial basis,
-and contracts. The layer builds its basis degree-major too, a
-[batch, degree+1, in] tensor T, so the contraction is a single matmul against
-w viewed as a [(degree+1)*in, out] matrix:
+and contracts. P_0 is the constant 1, so the terms w[0, i, o] act only
+through their sum and enter as one bias. The layer builds the rest of its
+basis degree-major too, P_1..P_degree in a [batch, degree, in] tensor T, so
+the contraction is a single matmul against w[1:] viewed as a
+[degree*in, out] matrix:
 
-    y[b, o] = sum_j sum_i T[b, j, i] * w[j, i, o]
+    y[b, o] = sum_i w[0, i, o] + sum_{j>=1} sum_i T[b, j-1, i] * w[j, i, o]
 
 One loop does this a block of rows at a time: in eval mode a block holds at
 most EVAL_BASIS_BYTES of basis, in training mode it is the whole batch, whose

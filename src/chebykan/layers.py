@@ -20,15 +20,15 @@ from enum import Enum
 import numpy as np
 
 from . import ndcore
-from .chebyshev import PolyKind, _basis_stack
+from .chebyshev import PolyKind, _fill_basis
 
 
 # The most basis stack, in bytes, that an eval-mode ChebyKanLayer.forward
-# holds at once. A few MiB stays in cache next to the coefficient matrix and
-# well under glibc's mmap threshold, so no call maps and faults in fresh
-# pages. On 2 vCPUs with one OpenBLAS thread, a degree-5 [784, 32, 16, 10]
-# model over 1,024 rows times 1 to 8 MiB within 15% of each other, and
-# 16 MiB or more about 1.5x slower.
+# holds at once: one buffer, which every row block of the call reuses, so a
+# large batch does not grow the working set. On 2 vCPUs with one OpenBLAS
+# thread, a degree-5 second-kind [784, 32, 16, 10] model over 1,024 rows
+# times 1 to 32 MiB (32 MiB is one block) within 10-20% of each other, no
+# size winning in two sweeps; 4 MiB is 133 rows at that width and degree.
 EVAL_BASIS_BYTES = 4 << 20
 
 
@@ -55,16 +55,18 @@ class ChebyKanLayer:
     The tanh squashes every layer's input into (-1, 1) before the basis is
     built — it is part of the layer, not a dataset preprocessing step, so
     hidden activations stay in the range where the basis is well behaved.
-    ``w`` is degree-major, [degree+1, input_dim, output_dim], like the basis
-    stack [batch, degree+1, input_dim], so the contraction is a matmul against
-    ``w.reshape(-1, output_dim)``, a view; the tests pin it against a brute
-    force triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and ``grad_w``
-    in the checkpoint order [input_dim, output_dim, degree+1]. ``forward``
-    builds and contracts the stack a block of rows at a time. In eval mode a
-    block holds at most EVAL_BASIS_BYTES of basis, so the working set stays in
-    cache whatever the batch size, where the whole stack at degree 5 is six
-    times the input's size. In training mode the block is the whole batch,
-    because backward reads the whole stack.
+    ``w`` is degree-major, [degree+1, input_dim, output_dim]. Since P_0 = 1,
+    the terms w[0, :, o] act only through their sum, so ``forward`` adds
+    ``w[0].sum(0)`` as one bias and builds only P_1..P_degree, a stack
+    [batch, degree, input_dim] contracted in one matmul against
+    ``w[1:].reshape(-1, output_dim)``, a view; the tests pin it against a
+    brute force triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
+    ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
+    ``forward`` builds and contracts the stack a block of rows at a time. In
+    eval mode a block holds at most EVAL_BASIS_BYTES of basis, so the working
+    set stays in cache whatever the batch size, where the whole stack at
+    degree 5 is five times the input's size. In training mode the block is
+    the whole batch, because backward reads the whole stack.
 
     The input gradient reads the cached basis and the current ``w``. With
     xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -94,30 +96,41 @@ class ChebyKanLayer:
 
     def forward(self, x):
         x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
-        w = self.w.reshape(-1, self.output_dim)
+        n = self.degree
+        w = self.w[1:].reshape(-1, self.output_dim)
         y = np.empty((len(x), self.output_dim), dtype=w.dtype)
-        rows = max(1, len(x) if self.training else EVAL_BASIS_BYTES // (len(w) * w.itemsize))
+        block = EVAL_BASIS_BYTES // (max(1, n) * self.input_dim * x.itemsize)
+        rows = max(1, len(x) if self.training else block)
+        buf = np.empty((min(rows, len(x)), n, self.input_dim), dtype=x.dtype)
         for start in range(0, max(1, len(x)), rows):  # a 0-row batch is one empty block
-            xt = np.tanh(x[start:start + rows])
-            t = _basis_stack(xt, self.degree, self.kind)
+            xb = x[start:start + rows]
+            t = buf[:len(xb)]
+            if n:
+                np.tanh(xb, out=t[:, 0])
+                _fill_basis(t, self.kind)
             np.matmul(t.reshape(len(t), len(w)), w, out=y[start:start + rows])
-        self._cache = (xt, t) if self.training else None
+        y += self.w[0].sum(axis=0)  # P_0 = 1, so its terms act only through their sum
+        self._cache = t if self.training else None
         return y
 
     def backward(self, dLdy, input_grad=True):
-        xt, t = _training_cache(self)
-        batch = xt.shape[0]
+        t = _training_cache(self)
+        batch, n, width = t.shape
         dLdy = ndcore.as_mat(dLdy, self.w.dtype, (batch, self.output_dim))
-        n1 = self.degree + 1
-        w = self.w.reshape(-1, self.output_dim)
-        np.matmul(t.reshape(batch, len(w)).T, dLdy, out=self.grad_w.reshape(w.shape))
+        w = self.w[1:].reshape(-1, self.output_dim)
+        self.grad_w[0] = dLdy.sum(axis=0)
+        np.matmul(t.reshape(batch, len(w)).T, dLdy, out=self.grad_w[1:].reshape(w.shape))
         if not input_grad:
             return None
-        gb = (dLdy @ w.T).reshape(batch, n1, self.input_dim)[:, 1:]  # dL/dP_k, k >= 1
-        k = np.arange(1, n1, dtype=xt.dtype)
+        if n == 0:
+            return np.zeros((batch, width), dtype=t.dtype)
+        gb = (dLdy @ w.T).reshape(t.shape)  # dL/dP_k, k >= 1
+        k = np.arange(1, n + 1, dtype=t.dtype)
         s = 0.0 if self.kind is PolyKind.FIRST else 1.0
-        return (np.einsum("bki,k,bki->bi", gb, k + s, t[:, :-1])
-                - xt * np.einsum("bki,k,bki->bi", gb, k, t[:, 1:]))
+        xt = t[:, 0] if self.kind is PolyKind.FIRST else 0.5 * t[:, 0]  # U_1 = 2 xt
+        return ((1.0 + s) * gb[:, 0]  # the k = 1 term, whose P_0 is 1
+                + np.einsum("bki,k,bki->bi", gb[:, 1:], k[1:] + s, t[:, :-1])
+                - xt * np.einsum("bki,k,bki->bi", gb, k, t))
 
 
 def init_coeffs(layer, method, rng):
@@ -168,6 +181,8 @@ class LayerNorm:
     def __init__(self, dim, eps=1e-5, dtype=np.float64):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        if not 0.0 < eps < math.inf:  # also rejects nan
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.dim = dim
         self.eps = eps
         self.gamma = np.ones(dim, dtype=ndcore.check_dtype(dtype))

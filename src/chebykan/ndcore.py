@@ -39,9 +39,13 @@ def check_seed(seed):
 
 def check_dtype(dtype):
     """``dtype`` as a numpy dtype, or ValueError unless it is float32 or float64."""
-    if np.dtype(dtype) not in (np.float32, np.float64):
+    try:
+        value = np.dtype(dtype)
+    except TypeError:  # not a dtype at all, such as "foo"
+        value = None
+    if value not in (np.float32, np.float64):
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    return np.dtype(dtype)
+    return value
 
 
 class Rng:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0, dtype=np.float64):
 
 
 def test_forward_shape_and_einsum_equivalence():
-    for kind, degree, dtype in itertools.product((F, S), (0, 5), (np.float64, np.float32)):
+    # degree 0 has no basis slab, degree 1 no recurrence step, degree 2 one
+    for kind, degree, dtype in itertools.product((F, S), (0, 1, 2, 5), (np.float64, np.float32)):
         case = f"{kind}, degree {degree}, {np.dtype(dtype)}"
         f64 = dtype == np.float64
         layer = _filled_layer(2, 3, degree, kind, dtype=dtype)
@@ -34,7 +36,7 @@ def test_forward_shape_and_einsum_equivalence():
         # several blocks and a ragged tail, and an empty batch, match the
         # training forward
         layer = _filled_layer(784, 4, degree, kind, dtype=dtype)
-        rows = EVAL_BASIS_BYTES // (784 * (degree + 1) * np.dtype(dtype).itemsize)
+        rows = EVAL_BASIS_BYTES // (784 * max(1, degree) * np.dtype(dtype).itemsize)
         tol = 1e-12 if f64 else 1e-5  # a block's own BLAS call may sum in another order
         for batch in (2 * rows + 37, 0):
             x = Rng(2, "x").uniform(-2.0, 2.0, (batch, 784))
@@ -50,8 +52,8 @@ def test_forward_shape_and_einsum_equivalence():
             x = Rng(3, "x").uniform(-2.0, 2.0, (batch, 784))
             layer.training = True
             want = layer.forward(x)
-            xt, t = layer._cache
-            assert t.shape == (batch, degree + 1, 784) and xt.dtype == t.dtype == dtype, case
+            t = layer._cache  # P_1..P_degree: P_0 = 1 enters as a bias
+            assert t.shape == (batch, degree, 784) and t.dtype == dtype, case
             layer.training = False
             got = layer.forward(x)
             assert layer._cache is None and got.dtype == want.dtype == dtype, case
@@ -101,11 +103,26 @@ def test_input_grad_matches_finite_difference():
 
 
 def test_degree_zero_input_grad_is_exactly_zero():
-    layer = _filled_layer(3, 2, 0)
-    x = Rng(3, "x").uniform(-1.0, 1.0, (5, 3))
-    layer.forward(x)
-    dLdx = layer.backward(np.ones((5, 2)))
-    assert np.all(dLdx == 0.0)
+    # P_0 = 1, so a degree-0 layer is its bias w[0].sum(0) on every row
+    for dtype in (np.float64, np.float32):
+        layer = _filled_layer(3, 2, 0, dtype=dtype)
+        x = Rng(3, "x").uniform(-1.0, 1.0, (5, 3))
+        y = layer.forward(x)
+        np.testing.assert_array_equal(y, np.tile(layer.w[0].sum(axis=0), (5, 1)))
+        dLdx = layer.backward(np.ones((5, 2)))
+        assert dLdx.shape == (5, 3) and dLdx.dtype == y.dtype == dtype
+        assert np.all(dLdx == 0.0)
+
+
+def test_constant_term_grad_is_the_cotangent_sum():
+    # each P_0 term's gradient is sum_b dLdy[b, o] * 1, whatever the input
+    for kind, degree, input_grad in itertools.product((F, S), (0, 3), (True, False)):
+        layer = _filled_layer(3, 2, degree, kind)
+        layer.forward(Rng(5, "x").uniform(-2.0, 2.0, (6, 3)))
+        dLdy = Rng(6, "g").normal(0.0, 1.0, (6, 2))
+        layer.backward(dLdy, input_grad=input_grad)
+        for i in range(3):
+            np.testing.assert_array_equal(layer.grad_w[0, i], dLdy.sum(axis=0))
 
 
 def test_backward_before_forward_raises():
@@ -273,6 +290,10 @@ def test_constructor_validation():
         ChebyKanLayer(2, 2, -1, F)
     with pytest.raises(ValueError):
         LayerNorm(0)
+    # a constant row has zero variance, so eps alone keeps its division finite
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            LayerNorm(3, eps=eps)
     # an integer layer would truncate its input 0.7 to 0; ndcore.check_dtype's
     # own test covers the other dtypes
     for dtype in (np.int64, np.float16, "i8"):

@@ -54,6 +54,6 @@ def test_check_dtype_admits_only_float32_and_float64():
     for dtype in (np.float32, np.float64, "float32", "f8", np.dtype("<f4")):
         assert ndcore.check_dtype(dtype) == np.dtype(dtype)
         assert isinstance(ndcore.check_dtype(dtype), np.dtype)
-    for dtype in (np.int64, np.uint8, np.bool_, np.float16, np.complex64, object):
+    for dtype in (np.int64, np.uint8, np.bool_, np.float16, np.complex64, object, "foo"):
         with pytest.raises(ValueError, match="unsupported dtype .*; use float32 or float64"):
             ndcore.check_dtype(dtype)
