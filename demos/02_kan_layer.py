@@ -8,11 +8,12 @@ A layer stores its coefficients degree-major, a tensor w of shape
 inputs through tanh, expands each squashed feature in the polynomial basis,
 and contracts. P_0 is the constant 1, so the terms w[0, i, o] act only
 through their sum and enter as one bias. The layer builds the rest of its
-basis degree-major too, P_1..P_degree in a [batch, degree, in] tensor T, so
-the contraction is a single matmul against w[1:] viewed as a
-[degree*in, out] matrix:
+basis degree-major too, P_1..P_degree in a [degree, batch, in] tensor T
+whose slab T[j-1] is one contiguous [batch, in] array, so the contraction is
+one batched matmul of each slab against its [in, out] panel w[j], and a sum
+over j:
 
-    y[b, o] = sum_i w[0, i, o] + sum_{j>=1} sum_i T[b, j-1, i] * w[j, i, o]
+    y[b, o] = sum_i w[0, i, o] + sum_{j>=1} sum_i T[j-1, b, i] * w[j, i, o]
 
 One loop does this a block of rows at a time: in eval mode a block holds at
 most EVAL_BASIS_BYTES of basis, in training mode it is the whole batch, whose

@@ -26,31 +26,31 @@ class PolyKind(Enum):
 
 
 def _basis_stack(x, degree, kind):
-    """P_0..P_degree of every element of x, stacked along a new axis just
-    before x's last one: a [batch, in] input gives [batch, degree+1, in] and a
-    vector [n] gives [degree+1, n]. x needs at least one axis.
+    """P_0..P_degree of every element of x, stacked along a new leading axis:
+    out[k] is P_k, shaped like x, so a [batch, in] input gives
+    [degree+1, batch, in] and a vector [n] gives [degree+1, n].
 
     Each P_k fills its own contiguous slab in place (``_fill_basis``). The
     stack has x's dtype: a float64 array gives float64, a float32 array
     float32.
     """
     x = np.asarray(x)
-    out = np.empty(x.shape[:-1] + (degree + 1,) + x.shape[-1:], dtype=x.dtype)
-    out[..., 0, :] = 1.0  # out[..., k, :] is P_k, shaped like x
+    out = np.empty((degree + 1,) + x.shape, dtype=x.dtype)
+    out[0] = 1.0
     if degree >= 1:
-        out[..., 1, :] = x
-        _fill_basis(out[..., 1:, :], kind)
+        out[1] = x
+        _fill_basis(out[1:], kind)
     return out
 
 
 def _fill_basis(t, kind):
-    """Fill P_1..P_n into a stack t of n >= 1 slabs in place: t[..., 0, :]
-    holds x on entry and t[..., k-1, :] holds P_k on exit. P_0 = 1 needs no
-    slab, and the second kind's U_1 = 2x, doubled in place, is also its 2x."""
-    x2 = np.multiply(t[..., 0, :], 2.0, out=t[..., 0, :] if kind is PolyKind.SECOND else None)
-    for k in range(2, t.shape[-2] + 1):
-        p = np.multiply(x2, t[..., k - 2, :], out=t[..., k - 1, :])
-        p -= t[..., k - 3, :] if k > 2 else 1.0
+    """Fill P_1..P_n into a stack t of n >= 1 slabs in place: t[0] holds x on
+    entry and t[k-1] holds P_k on exit. P_0 = 1 needs no slab, and the second
+    kind's U_1 = 2x, doubled in place, is also its 2x."""
+    x2 = np.multiply(t[0], 2.0, out=t[0] if kind is PolyKind.SECOND else None)
+    for k in range(2, len(t) + 1):
+        p = np.multiply(x2, t[k - 2], out=t[k - 1])
+        p -= t[k - 3] if k > 2 else 1.0
 
 
 def eval_basis(x, degree, kind=PolyKind.FIRST):

@@ -244,7 +244,7 @@ def _einsum_forward(model, x, params):
     for layer in model.layers:
         if isinstance(layer, ChebyKanLayer):
             basis = _basis_stack(np.tanh(x), layer.degree, layer.kind)
-            x = np.einsum("bji,jio->bo", basis, next(tensors))
+            x = np.einsum("jbi,jio->bo", basis, next(tensors))
         elif isinstance(layer, LayerNorm):
             gamma, beta = next(tensors), next(tensors)
             d = x - x.mean(axis=1, keepdims=True)

@@ -25,11 +25,13 @@ from .chebyshev import PolyKind, _fill_basis
 
 # The most basis stack, in bytes, that an eval-mode ChebyKanLayer.forward
 # holds at once: one buffer, which every row block of the call reuses, so a
-# large batch does not grow the working set. On 2 vCPUs with one OpenBLAS
-# thread, a degree-5 second-kind [784, 32, 16, 10] model over 1,024 rows
-# times 1 to 32 MiB (32 MiB is one block) within 10-20% of each other, no
-# size winning in two sweeps; 4 MiB is 133 rows at that width and degree.
-EVAL_BASIS_BYTES = 4 << 20
+# large batch does not grow the working set. On 2 vCPUs (2 MiB of L2 each)
+# with one OpenBLAS thread, the eval forward of a [784, 32, 16, 10] model over
+# 1,024 rows, swept over 1, 2, 4, 8, 16 and 32 MiB three times, was fastest at
+# 1 MiB in every sweep: 8-14% ahead of 4 MiB at degree 5 (second kind), 3-23%
+# at degree 3 (first kind). A 1 MiB stack stays in L2 beside the layer's
+# coefficients; it is 33 rows at that width and degree 5.
+EVAL_BASIS_BYTES = 1 << 20
 
 
 class InitMethod(Enum):
@@ -57,10 +59,12 @@ class ChebyKanLayer:
     hidden activations stay in the range where the basis is well behaved.
     ``w`` is degree-major, [degree+1, input_dim, output_dim]. Since P_0 = 1,
     the terms w[0, :, o] act only through their sum, so ``forward`` adds
-    ``w[0].sum(0)`` as one bias and builds only P_1..P_degree, a stack
-    [batch, degree, input_dim] contracted in one matmul against
-    ``w[1:].reshape(-1, output_dim)``, a view; the tests pin it against a
-    brute force triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
+    ``w[0].sum(0)`` as one bias and builds only P_1..P_degree, a degree-major
+    stack [degree, batch, input_dim] whose slab k holds P_{k+1} as one
+    contiguous [batch, input_dim] array. One batched matmul contracts each
+    slab against its own [input_dim, output_dim] panel of ``w[1:]``, and the
+    degree partial sums are added; the tests pin it against a brute force
+    triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
     ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
     ``forward`` builds and contracts the stack a block of rows at a time. In
     eval mode a block holds at most EVAL_BASIS_BYTES of basis, so the working
@@ -97,40 +101,40 @@ class ChebyKanLayer:
     def forward(self, x):
         x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
         n = self.degree
-        w = self.w[1:].reshape(-1, self.output_dim)
-        y = np.empty((len(x), self.output_dim), dtype=w.dtype)
+        y = np.empty((len(x), self.output_dim), dtype=x.dtype)
         block = EVAL_BASIS_BYTES // (max(1, n) * self.input_dim * x.itemsize)
         rows = max(1, len(x) if self.training else block)
-        buf = np.empty((min(rows, len(x)), n, self.input_dim), dtype=x.dtype)
+        buf = np.empty((n, min(rows, len(x)), self.input_dim), dtype=x.dtype)
+        part = np.empty((n, buf.shape[1], self.output_dim), dtype=x.dtype)
         for start in range(0, max(1, len(x)), rows):  # a 0-row batch is one empty block
             xb = x[start:start + rows]
-            t = buf[:len(xb)]
+            t = buf[:, :len(xb)]
             if n:
-                np.tanh(xb, out=t[:, 0])
+                np.tanh(xb, out=t[0])
                 _fill_basis(t, self.kind)
-            np.matmul(t.reshape(len(t), len(w)), w, out=y[start:start + rows])
+            p = np.matmul(t, self.w[1:], out=part[:, :len(xb)])
+            np.sum(p, axis=0, out=y[start:start + rows])
         y += self.w[0].sum(axis=0)  # P_0 = 1, so its terms act only through their sum
         self._cache = t if self.training else None
         return y
 
     def backward(self, dLdy, input_grad=True):
         t = _training_cache(self)
-        batch, n, width = t.shape
+        n, batch, width = t.shape
         dLdy = ndcore.as_mat(dLdy, self.w.dtype, (batch, self.output_dim))
-        w = self.w[1:].reshape(-1, self.output_dim)
         self.grad_w[0] = dLdy.sum(axis=0)
-        np.matmul(t.reshape(batch, len(w)).T, dLdy, out=self.grad_w[1:].reshape(w.shape))
+        np.matmul(t.transpose(0, 2, 1), dLdy, out=self.grad_w[1:])
         if not input_grad:
             return None
         if n == 0:
             return np.zeros((batch, width), dtype=t.dtype)
-        gb = (dLdy @ w.T).reshape(t.shape)  # dL/dP_k, k >= 1
+        gb = dLdy @ self.w[1:].transpose(0, 2, 1)  # dL/dP_k, k >= 1: [degree, batch, in]
         k = np.arange(1, n + 1, dtype=t.dtype)
         s = 0.0 if self.kind is PolyKind.FIRST else 1.0
-        xt = t[:, 0] if self.kind is PolyKind.FIRST else 0.5 * t[:, 0]  # U_1 = 2 xt
-        return ((1.0 + s) * gb[:, 0]  # the k = 1 term, whose P_0 is 1
-                + np.einsum("bki,k,bki->bi", gb[:, 1:], k[1:] + s, t[:, :-1])
-                - xt * np.einsum("bki,k,bki->bi", gb, k, t))
+        xt = t[0] if self.kind is PolyKind.FIRST else 0.5 * t[0]  # U_1 = 2 xt
+        return ((1.0 + s) * gb[0]  # the k = 1 term, whose P_0 is 1
+                + np.einsum("kbi,k,kbi->bi", gb[1:], k[1:] + s, t[:-1])
+                - xt * np.einsum("kbi,k,kbi->bi", gb, k, t))
 
 
 def init_coeffs(layer, method, rng):

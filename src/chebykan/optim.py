@@ -56,6 +56,8 @@ class Adam:
             raise ValueError(f"lr must be finite and > 0, got {lr}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+        if not 0.0 < eps < math.inf:  # also rejects nan; at 0 a zero gradient steps by 0/0
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -93,7 +95,11 @@ class Adam:
 
 
 class Sgd:
-    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v."""
+    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v.
+
+    A step allocates nothing: the velocity and one scratch array for lr*v
+    are made on the first step and reused.
+    """
 
     def __init__(self, lr, momentum=0.0):
         if not 0 < lr < math.inf:
@@ -103,12 +109,14 @@ class Sgd:
         self.lr = lr
         self.momentum = momentum
         self.velocity = None
+        self._scratch = None
 
     def step(self, params, grads):
         if params.shape != grads.shape:
             raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
         if self.velocity is None:
             self.velocity = np.zeros_like(params)
+            self._scratch = np.empty_like(params)
         self.velocity *= self.momentum
         self.velocity += grads
-        params -= self.lr * self.velocity
+        params -= np.multiply(self.velocity, self.lr, out=self._scratch)

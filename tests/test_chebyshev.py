@@ -155,9 +155,9 @@ def test_basis_stack_is_the_recurrence_degree_major_exactly(kind, dtype):
         p = [np.ones_like(x), x if kind is F else 2.0 * x]
         while len(p) <= degree:
             p.append(2.0 * x * p[-1] - p[-2])
-        expect = np.moveaxis(np.stack(p[:degree + 1], axis=-1), -1, -2)
+        expect = np.stack(p[:degree + 1])
         got = _basis_stack(x, degree, kind)
-        assert got.shape == (6, degree + 1, 5) and got.dtype == dtype
+        assert got.shape == (degree + 1, 6, 5) and got.dtype == dtype
         np.testing.assert_array_equal(got, expect)
 
 

@@ -8,9 +8,9 @@ from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
                                   AblationRow, DivergenceError, TrainConfig,
                                   ablation_csv_lines, evaluate, grad_check,
                                   run_ablation, train)
-from chebykan.layers import ChebyKanLayer, InitMethod
+from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod
 from chebykan.ndcore import Rng
-from chebykan.network import ArchSpec, build, param_count
+from chebykan.network import ArchSpec, build, mnist_arch, param_count
 from chebykan.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS
 
 
@@ -27,6 +27,19 @@ def _small_cfg(**overrides):
 
 def _build_for(cfg):
     return build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+
+
+def test_eval_forward_of_the_mnist_model_matches_the_einsum_oracle():
+    # degree 5, second kind: the first layer's eval forward runs two full row
+    # blocks and a ragged tail, the oracle one einsum over the whole batch;
+    # the error is relative to the largest logit, as in the benchmark's check
+    model = build(mnist_arch(5, PolyKind.SECOND), InitMethod.XAVIER, Rng(0, "init")).eval()
+    rows = EVAL_BASIS_BYTES // (5 * 784 * 8)
+    x = Rng(1, "x").uniform(-2.0, 2.0, (2 * rows + 37, 784))
+    got = model.forward(x)
+    want = experiments._einsum_forward(model, x, model.flat_params)
+    assert got.shape == want.shape == (2 * rows + 37, 10)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_train_regression_improves_and_logs_rows():

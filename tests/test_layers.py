@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chebykan.chebyshev import PolyKind, eval_basis
+from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
 from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from chebykan.ndcore import Rng, ShapeError
 from chebykan.network import Sequential
@@ -53,7 +53,11 @@ def test_forward_shape_and_einsum_equivalence():
             layer.training = True
             want = layer.forward(x)
             t = layer._cache  # P_1..P_degree: P_0 = 1 enters as a bias
-            assert t.shape == (batch, degree, 784) and t.dtype == dtype, case
+            assert t.shape == (degree, batch, 784) and t.dtype == dtype, case
+            basis = _basis_stack(np.tanh(x.astype(dtype)), degree, kind)
+            for k in range(degree):  # each P_{k+1} is one contiguous slab
+                assert t[k].flags.c_contiguous, f"{case}, batch {batch}, slab {k}"
+                np.testing.assert_array_equal(t[k], basis[k + 1], err_msg=case)
             layer.training = False
             got = layer.forward(x)
             assert layer._cache is None and got.dtype == want.dtype == dtype, case

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,37 @@ def test_sgd_momentum_velocity_is_geometric():
     np.testing.assert_allclose(p, total, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sgd_matches_the_textbook_update_exactly(dtype):
+    lr, mu = 3e-2, 0.9
+    rng = np.random.default_rng(12)
+    p = rng.normal(0.0, 1.0, 257).astype(dtype)
+    ref, v = p.copy(), np.zeros_like(p)
+    opt = Sgd(lr=lr, momentum=mu)
+    for _ in range(20):
+        g = rng.normal(0.0, 1.0, p.size).astype(dtype)
+        opt.step(p, g)
+        v = mu * v + g
+        ref -= lr * v
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p, ref)
+    np.testing.assert_array_equal(opt.velocity, v)
+
+
+def test_optimizer_steps_allocate_no_parameter_sized_array():
+    p = np.zeros(1 << 16)
+    g = np.ones_like(p)
+    for opt in (Adam(lr=0.1), Sgd(lr=0.1, momentum=0.9)):
+        opt.step(p, g)  # the first step makes the state arrays
+        tracemalloc.start()
+        try:
+            opt.step(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes // 4, (type(opt).__name__, peak)
+
+
 def test_sgd_without_momentum_is_plain_descent():
     p = np.array([1.0])
     opt = Sgd(lr=0.5, momentum=0.0)
@@ -120,6 +153,9 @@ def test_optimizer_validation():
         for opt in (Adam, Sgd):
             with pytest.raises(ValueError, match="lr must be finite and > 0"):
                 opt(lr=lr)
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            Adam(lr=0.1, eps=eps)
     opt = Adam(lr=0.1)
     with pytest.raises(ShapeError):
         opt.step(np.zeros(2), np.zeros(3))
