@@ -273,6 +273,38 @@ def _complex_step(model, x, loss, h):
     return grad[:n], grad[n:].reshape(x.shape)
 
 
+def _directional_check(model, x, loss, dLdx, directions, rng):
+    """Worst relative error, over `directions` random directions, of the
+    gradients the last backward of `model` at x left: ``flat_grads`` and,
+    unless `dLdx` is None (a ``backward(input_grad=False)``), the returned
+    dL/dx.
+
+    For a normal direction v over the parameters and u over x (no u without
+    `dLdx`), one complex `_einsum_forward` at (params + i*h*v, x + i*h*u)
+    with h = 1e-30 gives the directional derivative Im loss / h, the complex
+    step of Squire & Trapp along a direction, and it must equal
+    flat_grads.v + sum(dLdx*u).
+    One forward checks every entry at once, so the check runs at the
+    workload shapes, where `_complex_step` would take one forward per entry.
+    `loss` maps the output to a scalar and must be complex-analytic; `rng` is
+    an `Rng`. The relative error is `grad_check`'s; a non-finite one makes
+    the result non-finite.
+    """
+    h, worst = 1e-30, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # such a direction reads NaN
+        for _ in range(directions):
+            v = rng.normal(0.0, 1.0, model.flat_params.shape)
+            slope = model.flat_grads @ v
+            z = x.astype(complex)
+            if dLdx is not None:
+                u = rng.normal(0.0, 1.0, x.shape)
+                slope += np.sum(dLdx * u)
+                z.imag = h * u
+            numeric = loss(_einsum_forward(model, z, model.flat_params + 1j * h * v)).imag / h
+            worst = np.maximum(worst, abs(slope - numeric) / max(1e-12, abs(numeric)))
+    return float(worst)
+
+
 def grad_check(trials=100, h=1e-40, seed=1234):
     """Worst relative error of the backward pass against `_complex_step`
     (step ``h``) over random small networks.

