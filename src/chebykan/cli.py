@@ -2,7 +2,9 @@
 
 Flags merge over an optional ``key = value`` config file (flags win, unknown
 keys are rejected), and every run echoes its fully resolved configuration as
-a leading #-comment block in its output so the run can be reproduced exactly.
+a leading #-comment block in its output so the run can be reproduced exactly,
+and ends it with a ``# blas_threads`` line, since the BLAS thread count can
+change the last bits of a result.
 Each command returns its exit code and the lines of each output file; ``main``
 alone names, checks and writes those files.
 Each command's options come from what its run consumes: the fields of
@@ -230,6 +232,13 @@ def _train_config(resolved):
     return cfg
 
 
+def _blas_threads_line():
+    """The BLAS thread variables as a trailing comment: a threaded BLAS can
+    change an output's last bits, so a diff across machines names its cause."""
+    return "# blas_threads " + " ".join(f"{v}={os.environ.get(v, 'unset')}"
+                                        for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
 # ---------------------------------------------------------------------------
 # commands: each returns (exit code, one list of lines per output file)
 
@@ -351,7 +360,8 @@ def main(argv=None):
         echo = [f"# {c}" for c in config_lines(args.command, resolved)]
         for path, lines in zip(paths, bodies):
             # surrogateescape, so the echoed out path keeps its own bytes
-            Path(path).write_text("\n".join(echo + lines) + "\n", encoding="utf-8",
+            Path(path).write_text("\n".join(echo + lines + [_blas_threads_line()]) + "\n",
+                                  encoding="utf-8",
                                   errors="surrogateescape")
         if paths:
             print(f"wrote {' and '.join(paths)}")

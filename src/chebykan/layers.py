@@ -15,6 +15,8 @@ and gradients keep the parameters' precision.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
 
 import numpy as np
@@ -23,15 +25,70 @@ from . import ndcore
 from .chebyshev import PolyKind, _fill_basis
 
 
-# The most basis stack, in bytes, that an eval-mode ChebyKanLayer.forward
-# holds at once: one buffer, which every row block of the call reuses, so a
-# large batch does not grow the working set. On 2 vCPUs (2 MiB of L2 each)
-# with one OpenBLAS thread, the eval forward of a [784, 32, 16, 10] model over
-# 1,024 rows, swept over 1, 2, 4, 8, 16 and 32 MiB three times, was fastest at
-# 1 MiB in every sweep: 8-14% ahead of 4 MiB at degree 5 (second kind), 3-23%
-# at degree 3 (first kind). A 1 MiB stack stays in L2 beside the layer's
-# coefficients; it is 33 rows at that width and degree 5.
+# The most basis stack, in bytes, that one worker of an eval-mode
+# ChebyKanLayer.forward holds at once: one buffer, which every row block the
+# worker takes reuses, so a large batch does not grow the working set. On 2
+# vCPUs (2 MiB of L2 each) with one OpenBLAS thread and one worker, the eval
+# forward of a [784, 32, 16, 10] model over 1,024 rows, swept over 1, 2, 4, 8,
+# 16 and 32 MiB three times, was fastest at 1 MiB in every sweep: 8-14% ahead
+# of 4 MiB at degree 5 (second kind), 3-23% at degree 3 (first kind). A 1 MiB
+# stack stays in L2 beside the layer's coefficients; it is 33 rows at that
+# width and degree 5. The size fixes the block boundaries, so it is part of
+# the output's bits: the worker count is not (see _workers).
 EVAL_BASIS_BYTES = 1 << 20
+
+
+# one pool per process, keyed by its pid: a forked child inherits the
+# parent's executor object but none of its threads, so it makes its own
+_pool = {}
+
+
+def _workers(blocks):
+    """How many threads run an eval forward's `blocks` row blocks: one per
+    core that BLAS leaves free, W = min(blocks, max(1, cpus // blas_threads)).
+    `cpus` counts the cores this process may run on; `blas_threads` is
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, if set to a positive int,
+    else `cpus`, since OpenBLAS then starts a thread per core itself."""
+    if blocks < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return min(blocks, max(1, cpus // blas_threads))
+
+
+def _on_workers(task, states):
+    """Run task(state) once per state: the first on the calling thread, the
+    rest on the process's pool, each under the caller's numpy error state,
+    which new threads do not inherit. Returns once every call has ended,
+    raising the first exception any of them raised. One state makes no pool."""
+    if len(states) == 1:
+        task(states[0])
+        return
+    pid = os.getpid()
+    if pid not in _pool:
+        _pool.clear()
+        _pool[pid] = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="chebykan")
+    err, call = np.geterr(), np.geterrcall()
+
+    def under_caller_errstate(state):
+        with np.errstate(call=call, **err):
+            task(state)
+
+    futures = [_pool[pid].submit(under_caller_errstate, s) for s in states[1:]]
+    try:
+        task(states[0])
+    finally:
+        wait(futures)  # no pool thread still writes the caller's arrays
+    for f in futures:
+        f.result()
 
 
 class InitMethod(Enum):
@@ -69,8 +126,14 @@ class ChebyKanLayer:
     ``forward`` builds and contracts the stack a block of rows at a time. In
     eval mode a block holds at most EVAL_BASIS_BYTES of basis, so the working
     set stays in cache whatever the batch size, where the whole stack at
-    degree 5 is five times the input's size. In training mode the block is
-    the whole batch, because backward reads the whole stack.
+    degree 5 is five times the input's size. Up to
+    W = min(blocks, max(1, cpus // blas_threads)) threads, the calling thread
+    among them, take the blocks from one shared iterator, each with its own
+    EVAL_BASIS_BYTES stack (see ``_workers`` for ``cpus`` and
+    ``blas_threads``). Each block runs the one-thread loop's ops and writes
+    only its own rows of the output, so W changes no bit of it. In training
+    mode the block is the whole batch, because backward reads the whole
+    stack, and it runs on the calling thread.
 
     The input gradient reads the cached basis and the current ``w``. With
     xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -104,18 +167,27 @@ class ChebyKanLayer:
         y = np.empty((len(x), self.output_dim), dtype=x.dtype)
         block = EVAL_BASIS_BYTES // (max(1, n) * self.input_dim * x.itemsize)
         rows = max(1, len(x) if self.training else block)
-        buf = np.empty((n, min(rows, len(x)), self.input_dim), dtype=x.dtype)
-        part = np.empty((n, buf.shape[1], self.output_dim), dtype=x.dtype)
-        for start in range(0, max(1, len(x)), rows):  # a 0-row batch is one empty block
-            xb = x[start:start + rows]
-            t = buf[:, :len(xb)]
-            if n:
-                np.tanh(xb, out=t[0])
-                _fill_basis(t, self.kind)
-            p = np.matmul(t, self.w[1:], out=part[:, :len(xb)])
-            np.sum(p, axis=0, out=y[start:start + rows])
+        starts = range(0, max(1, len(x)), rows)  # a 0-row batch is one empty block
+        shape = (n, min(rows, len(x)))
+        stacks = [(np.empty(shape + (self.input_dim,), dtype=x.dtype),
+                   np.empty(shape + (self.output_dim,), dtype=x.dtype))
+                  for _ in range(_workers(len(starts)))]
+        shared = iter(starts)  # each next() is one call under the GIL
+
+        def fill(stack):
+            buf, part = stack
+            for start in shared:
+                xb = x[start:start + rows]
+                t = buf[:, :len(xb)]
+                if n:
+                    np.tanh(xb, out=t[0])
+                    _fill_basis(t, self.kind)
+                p = np.matmul(t, self.w[1:], out=part[:, :len(xb)])
+                np.sum(p, axis=0, out=y[start:start + rows])
+
+        _on_workers(fill, stacks)
         y += self.w[0].sum(axis=0)  # P_0 = 1, so its terms act only through their sum
-        self._cache = t if self.training else None
+        self._cache = stacks[0][0] if self.training else None
         return y
 
     def backward(self, dLdy, input_grad=True):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -20,7 +21,9 @@ def body(path):
 
 
 def comments(path):
-    return [l for l in path.read_text().splitlines() if l.startswith("#")]
+    """The leading #-comment block, the echoed configuration; the trailing
+    `# wall_time_s` and `# blas_threads` lines are not part of it."""
+    return list(itertools.takewhile(lambda l: l.startswith("#"), path.read_text().splitlines()))
 
 
 def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
@@ -481,8 +484,11 @@ _SMALL_RUN = {
 
 
 @pytest.mark.parametrize("command", list(_SMALL_RUN))
-def test_every_output_file_is_the_echo_block_then_the_body(command, tmp_path,
+def test_every_output_file_is_the_echo_block_then_the_body(command, tmp_path, monkeypatch,
                                                            synth_mnist_dir, capsys):
+    # the body ends with the BLAS thread variables, which can change its last bits
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = tmp_path / "f.cfg"
     cfg.write_text("epochs = 1\nwidths = 2,4,1\n")
     out = tmp_path / "out.csv"
@@ -500,7 +506,8 @@ def test_every_output_file_is_the_echo_block_then_the_body(command, tmp_path,
         text = Path(path).read_text()
         lines = text.splitlines()
         assert text.endswith("\n") and lines[:len(echo)] == echo, path
-        data = lines[len(echo):]
+        assert lines[-1] == "# blas_threads OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset", path
+        data = lines[len(echo):-1]
         if header is None:  # a grid: one `x y z` line per point
             assert len(data) == 16 and all(len(l.split()) == 3 for l in data)
         else:

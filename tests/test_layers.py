@@ -1,9 +1,18 @@
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chebykan
+from chebykan import layers
 from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
 from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from chebykan.ndcore import Rng, ShapeError
@@ -62,6 +71,122 @@ def test_forward_shape_and_einsum_equivalence():
             got = layer.forward(x)
             assert layer._cache is None and got.dtype == want.dtype == dtype, case
             np.testing.assert_array_equal(got, want, err_msg=f"{case}, batch {batch}")
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """An eval forward of several blocks runs on up to eight threads: the
+    process seems to own eight cores, and one BLAS thread leaves all free."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def _eval_case(kind, dtype):
+    """A degree-3 784x4 layer in eval mode, a batch of eight full row blocks
+    and a ragged tail, and the block size."""
+    layer = _filled_layer(784, 4, 3, kind, dtype=dtype)
+    layer.training = False
+    rows = EVAL_BASIS_BYTES // (784 * 3 * np.dtype(dtype).itemsize)
+    return layer, Rng(7, "x").uniform(-2.0, 2.0, (8 * rows + 37, 784)), rows
+
+
+# a subprocess that sees one core, so the eval forward runs on its own thread
+_ONE_CPU_FORWARD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_layers import F, S, _eval_case
+for kind, dtype in ((F, np.float64), (F, np.float32), (S, np.float64), (S, np.float32)):
+    layer, x, _ = _eval_case(kind, dtype)
+    sys.stdout.buffer.write(layer.forward(x).tobytes())
+"""
+
+
+def test_eval_forward_is_bit_identical_whatever_the_worker_count(eight_cpus):
+    # the worker count decides only which thread fills which block's rows;
+    # the blocks and each block's ops are the serial loop's, so every bit is
+    got = b""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the shared block iterator over often
+    try:
+        for kind, dtype in itertools.product((F, S), (np.float64, np.float32)):
+            layer, x, rows = _eval_case(kind, dtype)
+            y = layer.forward(x)
+            want = np.concatenate([layer.forward(x[s:s + rows]) for s in range(0, len(x), rows)])
+            np.testing.assert_array_equal(y, want, err_msg=f"{kind}, {np.dtype(dtype)}")
+            got += y.tobytes()
+    finally:
+        sys.setswitchinterval(old)
+    assert any(t.name.startswith("chebykan") for t in threading.enumerate())
+    if sys.platform != "linux":
+        return
+    env = dict(os.environ, PYTHONPATH=str(Path(chebykan.__file__).parents[1]))
+    one_cpu = subprocess.run([sys.executable, "-c", _ONE_CPU_FORWARD, str(Path(__file__).parent)],
+                             env=env, capture_output=True, timeout=120)
+    assert one_cpu.returncode == 0, one_cpu.stderr.decode()
+    assert one_cpu.stdout == got
+
+
+def test_eval_pool_keeps_the_callers_error_state(eight_cpus):
+    layer, x, _ = _eval_case(F, np.float64)
+    layer.w[1:] = 1e306  # each degree's sum over 784 inputs overflows
+    x[:] = 3.0  # tanh(3) > 0.99, so every basis value is near 1
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(layer.forward(x)).all()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        layer.forward(x)
+
+
+def test_eval_pool_raises_a_workers_exception_in_the_caller(eight_cpus, monkeypatch):
+    layer, x, _ = _eval_case(F, np.float64)
+    fill, pool_thread_ran = layers._fill_basis, threading.Event()
+
+    def fill_on_caller_only(t, kind):
+        if threading.current_thread() is threading.main_thread():
+            pool_thread_ran.wait(10)  # leave blocks for the pool
+            return fill(t, kind)
+        pool_thread_ran.set()
+        raise ValueError("a pool thread failed")
+
+    monkeypatch.setattr(layers, "_fill_basis", fill_on_caller_only)
+    with pytest.raises(ValueError, match="a pool thread failed"):
+        layer.forward(x)
+    assert pool_thread_ran.is_set()
+
+
+def _forward_bytes(layer, x, conn):
+    conn.send_bytes(layer.forward(x).tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_makes_its_own_eval_pool(eight_cpus):
+    layer, x, _ = _eval_case(S, np.float32)
+    want = layer.forward(x).tobytes()  # the parent's pool now has threads
+    assert any(t.name.startswith("chebykan") for t in threading.enumerate())
+    recv, send = multiprocessing.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        # Python 3.12 warns on any fork of a threaded process; the child
+        # must not wait on the parent's pool threads, which it does not have
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        child = multiprocessing.get_context("fork").Process(
+            target=_forward_bytes, args=(layer, x, send))
+        child.start()
+    try:
+        send.close()
+        assert recv.poll(60), "the forked child's eval forward did not finish"
+        assert recv.recv_bytes() == want
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+        recv.close()
 
 
 def test_inputs_outside_unit_interval_are_squashed():
