@@ -67,8 +67,11 @@ def _workers(blocks):
 def _on_workers(task, states):
     """Run task(state) once per state: the first on the calling thread, the
     rest on the process's pool, each under the caller's numpy error state,
-    which new threads do not inherit. Returns once every call has ended,
-    raising the first exception any of them raised. One state makes no pool."""
+    which new threads do not inherit. A pool call that has not started when
+    the caller's own call ends is cancelled, not waited for: the task must
+    leave it nothing to do by then. Returns once every started call has
+    ended, raising the first exception any of them raised. One state makes
+    no pool."""
     if len(states) == 1:
         task(states[0])
         return
@@ -86,8 +89,11 @@ def _on_workers(task, states):
     try:
         task(states[0])
     finally:
-        wait(futures)  # no pool thread still writes the caller's arrays
-    for f in futures:
+        # waiting on a pool thread that has yet to wake, for no work, would
+        # add its wake-up latency to the call
+        started = [f for f in futures if not f.cancel()]
+        wait(started)  # no pool thread still writes the caller's arrays
+    for f in started:
         f.result()
 
 

@@ -156,6 +156,26 @@ def test_eval_pool_raises_a_workers_exception_in_the_caller(eight_cpus, monkeypa
     assert pool_thread_ran.is_set()
 
 
+def test_eval_forward_does_not_wait_for_a_pool_thread_that_never_started(eight_cpus):
+    layer, x, _ = _eval_case(S, np.float64)
+    want = layer.forward(x)  # the pool exists now
+    pool = layers._pool[os.getpid()]
+    release = threading.Event()
+    # every pool thread is busy until release, so the forward's pool calls
+    # stay queued; a forward that waited for them would return only after it
+    blockers = [pool.submit(release.wait, 60) for _ in range(pool._max_workers)]
+    timer = threading.Timer(5, release.set)
+    timer.start()
+    try:
+        np.testing.assert_array_equal(layer.forward(x), want)
+        assert not release.is_set()
+    finally:
+        timer.cancel()
+        release.set()
+        for b in blockers:
+            b.result()
+
+
 def _forward_bytes(layer, x, conn):
     conn.send_bytes(layer.forward(x).tobytes())
     conn.close()
