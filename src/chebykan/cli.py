@@ -1,10 +1,12 @@
 """Command-line front end: mnist, approx, fractal, ablate, gradcheck.
 
-Flags merge over an optional ``key = value`` config file (flags win, unknown
-keys are rejected), and every run echoes its fully resolved configuration as
-a leading #-comment block in its output so the run can be reproduced exactly,
-and ends it with a ``# blas_threads`` line, since the BLAS thread count can
-change the last bits of a result.
+Every config key is also a flag, ``--`` plus the key with ``-`` for ``_``
+(``--x``/``--no-x`` for a bool key). Flags merge over an optional
+``key = value`` config file (flags win, unknown keys are rejected), and every
+run echoes its fully resolved configuration as a leading #-comment block in
+its output so the run can be reproduced exactly, and ends it with a
+``# blas_threads`` line, since the BLAS thread count can change the last bits
+of a result.
 Each command returns its exit code and the lines of each output file; ``main``
 alone names, checks and writes those files.
 Each command's options come from what its run consumes: the fields of
@@ -86,8 +88,7 @@ class Opt:
     name: str              # dest and config-file key
     conv: object
     default: object
-    help: str = ""
-    flag: bool = True      # False: config-only; a bool option's flag is a bare switch
+    help: str
 
 
 def _shared_opts(out_default, f32=True):
@@ -107,42 +108,39 @@ _HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "lea
          "target": "function to fit", "lo": "domain lower edge", "hi": "domain upper edge",
          "n": "training samples", "test_n": "test samples", "steps": "optimizer steps",
          "alpha": "noise persistence", "b": "noise amplitude", "iters": "noise iterations",
-         "grid": "grid points per side", "extent": "half-width of the square domain"}
+         "grid": "grid points per side", "extent": "half-width of the square domain",
+         "optimizer": "adam or sgd", "momentum": "sgd momentum",
+         "layernorm": "LayerNorm between KAN layers", "max_steps": "cap on optimizer steps"}
 
 
-def _opts(defaults, flags=None, skip=()):
+def _opts(defaults, skip=()):
     """One option per `name -> default` entry but those in `skip`, its
-    converter implied by the default: the names in `flags` are flags, the
-    others config-only (all are flags when `flags` is None)."""
-    return [Opt(name, _field_conv(d), d, _HELP.get(name, ""),
-                flag=flags is None or name in flags)
+    converter implied by the default."""
+    return [Opt(name, _field_conv(d), d, _HELP[name])
             for name, d in defaults.items() if name not in skip]
 
 
 # seed and dtype are the shared --seed and --f32
 _TRAINING = {k: v for k, v in vars(TrainConfig()).items() if k not in ("seed", "dtype")}
-_CLASSIFIER_FLAGS = ("epochs", "batch_size", "lr", "init", "norm", "degree", "kind")
-_FIT_FLAGS = ("widths", "degree")
 _MNIST_DATA_OPTS = [
     Opt("data_dir", str.strip, None, "directory with the four decompressed IDX files"),
     Opt("subset", _opt_int, None, "train on the first N examples only"),
 ]
 
-MNIST_OPTS = (_shared_opts("mnist_run.csv") + _MNIST_DATA_OPTS
-              + _opts(_TRAINING, _CLASSIFIER_FLAGS))
+MNIST_OPTS = _shared_opts("mnist_run.csv") + _MNIST_DATA_OPTS + _opts(_TRAINING)
 
 # the function and fractal fits use raw inputs, so they take no norm; approx's
 # steps sets both epochs and max_steps
 APPROX_OPTS = (_shared_opts("approx_dump.csv") + _opts(FUNCTION_FIT)
-               + _opts({**_TRAINING, **FUNCTION_FIT_TRAINING}, _FIT_FLAGS,
+               + _opts({**_TRAINING, **FUNCTION_FIT_TRAINING},
                        skip=("epochs", "norm", "max_steps")))
 
 FRACTAL_OPTS = (_shared_opts("fractal.csv") + _opts(vars(FractalParams()), skip=("seed",))
-                + _opts({**_TRAINING, **FRACTAL_FIT_TRAINING}, _FIT_FLAGS, skip=("norm",)))
+                + _opts({**_TRAINING, **FRACTAL_FIT_TRAINING}, skip=("norm",)))
 
 ABLATE_OPTS = _shared_opts("ablation.csv") + [
     Opt("axis", _choice(*ABLATION_SWEEPS), None, "which axis to sweep"),
-] + _MNIST_DATA_OPTS + _opts(_TRAINING, _CLASSIFIER_FLAGS)
+] + _MNIST_DATA_OPTS + _opts(_TRAINING)
 
 GRADCHECK_OPTS = _shared_opts(None, f32=False) + [
     Opt("trials", int, 100, "random configurations to test"),
@@ -341,11 +339,11 @@ def build_parser():
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key = value config file; explicit flags win")
-        for o in (o for o in opts if o.flag):
-            flag = "--batch" if o.name == "batch_size" else "--" + o.name.replace("_", "-")
-            form = (dict(action="store_const", const="true") if isinstance(o.default, bool)
+        for o in opts:
+            form = (dict(action=argparse.BooleanOptionalAction) if isinstance(o.default, bool)
                     else dict(metavar=o.name.upper()))
-            p.add_argument(flag, dest=o.name, default=None, help=o.help, **form)
+            p.add_argument("--" + o.name.replace("_", "-"), dest=o.name, default=None,
+                           help=o.help, **form)
     return root
 
 

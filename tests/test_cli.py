@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,13 +155,50 @@ def test_approx_writes_dump_with_config_block(tmp_path, capsys):
 
 def test_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nsteps = 500\nlr = 0.5\n")
+    cfg.write_text("# comment line\nsteps = 500\nlr = 0.5\nf32 = true\n")
     out = tmp_path / "o.csv"
     assert run(["approx", "--config", str(cfg), "--steps", "30", "--n", "64",
-                "--test-n", "16", "--out", str(out)]) == 0
+                "--test-n", "16", "--no-f32", "--out", str(out)]) == 0
     echoed = comments(out)
     assert "# steps = 30" in echoed   # flag wins
+    assert "# f32 = false" in echoed  # so does a bool's --no- form
     assert "# lr = 0.5" in echoed     # config survives where no flag given
+
+
+def test_batch_is_the_prefix_of_batch_size(tmp_path):
+    """argparse takes `--batch` as the unique prefix of `--batch-size`;
+    fractal's `--b` is an exact match, so it still sets the noise amplitude."""
+    def resolve(argv):
+        return cli.resolve(argv[0], cli.COMMANDS[argv[0]][1],
+                           cli.build_parser().parse_args(argv))
+
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("batch_size = 4\n")
+    for command in ("mnist", "approx", "fractal", "ablate"):
+        by_flag = resolve([command, "--batch", "4"])
+        assert by_flag["batch_size"] == 4, command
+        assert by_flag == resolve([command, "--config", str(cfg)]), command
+    by_b = resolve(["fractal", "--b", "0.5"])
+    assert (by_b["b"], by_b["batch_size"]) == (0.5, 64)
+
+    small = ["approx", "--steps", "5", "--n", "16", "--test-n", "8", "--out"]
+    assert run(small + [str(tmp_path / "flag.csv"), "--batch", "4"]) == 0
+    assert run(small + [str(tmp_path / "config.csv"), "--config", str(cfg)]) == 0
+    assert body(tmp_path / "flag.csv") == body(tmp_path / "config.csv")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_key_as_a_flag(command, capsys):
+    """argparse %-formats a help string only when it prints it."""
+    with pytest.raises(SystemExit) as done:
+        run([command, "--help"])
+    assert done.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    expected = {"-h", "--help", "--config"}
+    for o in cli.COMMANDS[command][1]:
+        flag = "--" + o.name.replace("_", "-")
+        expected |= {flag, "--no-" + flag[2:]} if isinstance(o.default, bool) else {flag}
+    assert listed == expected
 
 
 def ascii_locale_env():
@@ -348,29 +386,26 @@ _CLASSIFIER_ECHO = {"degree": "3", "kind": "first", "init": "xavier",
                     "norm": "tanh", "epochs": "10", "batch_size": "64",
                     "lr": "0.001", "widths": "784,32,16,10",
                     "optimizer": "adam", "momentum": "0.9", "layernorm": "true"}
-_CLASSIFIER_FLAGS = {"degree": "--degree", "kind": "--kind", "init": "--init",
-                     "norm": "--norm", "epochs": "--epochs",
-                     "batch_size": "--batch", "lr": "--lr"}
-_CLASSIFIER_CONFIG_ONLY = {"widths", "optimizer", "momentum", "layernorm",
-                           "max_steps"}
-_FIT_CONFIG_ONLY = {"kind", "init", "batch_size", "lr", "optimizer",
-                    "momentum", "layernorm"}
+_FIT_FLAGS = {"degree": "--degree", "kind": "--kind", "init": "--init",
+              "batch_size": "--batch-size", "lr": "--lr", "widths": "--widths",
+              "optimizer": "--optimizer", "momentum": "--momentum",
+              "layernorm": "switch"}
+_CLASSIFIER_FLAGS = {**_FIT_FLAGS, "norm": "--norm", "epochs": "--epochs",
+                     "max_steps": "--max-steps"}
 
-# command -> (flags of the run, keys it overrides, value flags, config-only
-# keys, echoed defaults of every other key). Keys absent from the echo
-# default to None.
+# command -> (flags of the run, keys it overrides, the flag of every key but
+# the shared ones, "switch" for a bool, echoed defaults of every other key).
+# Keys absent from the echo default to None.
 _INTERFACE = {
     "mnist": (
         ["--data-dir", "{idx}", "--subset", "64"], {"data_dir", "subset"},
         {"data_dir": "--data-dir", "subset": "--subset", **_CLASSIFIER_FLAGS},
-        _CLASSIFIER_CONFIG_ONLY, _CLASSIFIER_ECHO,
+        _CLASSIFIER_ECHO,
     ),
     "approx": (
         ["--steps", "5", "--n", "16", "--test-n", "8"], {"steps", "n", "test_n"},
         {"target": "--target", "lo": "--lo", "hi": "--hi", "n": "--n",
-         "test_n": "--test-n", "widths": "--widths", "degree": "--degree",
-         "steps": "--steps"},
-        _FIT_CONFIG_ONLY,
+         "test_n": "--test-n", "steps": "--steps", **_FIT_FLAGS},
         {"target": "sin_plus_sq", "lo": "-2.0", "hi": "2.0", "widths": "1,8,1",
          "degree": "4", "kind": "first", "init": "xavier", "batch_size": "64",
          "lr": "0.01", "optimizer": "adam", "momentum": "0.9",
@@ -379,8 +414,8 @@ _INTERFACE = {
     "fractal": (
         ["--grid", "4"], {"grid"},
         {"alpha": "--alpha", "b": "--b", "iters": "--iters", "grid": "--grid",
-         "extent": "--extent", "widths": "--widths", "degree": "--degree"},
-        _FIT_CONFIG_ONLY | {"epochs", "max_steps"},
+         "extent": "--extent", "epochs": "--epochs", "max_steps": "--max-steps",
+         **_FIT_FLAGS},
         {"alpha": "0.7", "b": "0.001", "iters": "5", "extent": "2.0",
          "widths": "2,64,64,1", "degree": "3", "kind": "first", "init": "xavier",
          "epochs": "60", "batch_size": "64", "lr": "0.01",
@@ -391,11 +426,11 @@ _INTERFACE = {
         {"axis", "data_dir", "subset"},
         {"axis": "--axis", "data_dir": "--data-dir", "subset": "--subset",
          **_CLASSIFIER_FLAGS},
-        _CLASSIFIER_CONFIG_ONLY, _CLASSIFIER_ECHO,
+        _CLASSIFIER_ECHO,
     ),
     "gradcheck": (
         ["--trials", "1"], {"trials"}, {"trials": "--trials", "h": "--h"},
-        set(), {"h": "1e-40"},
+        {"h": "1e-40"},
     ),
 }
 
@@ -403,21 +438,21 @@ _INTERFACE = {
 @pytest.mark.parametrize("command", list(_INTERFACE))
 def test_command_interface_is_pinned(command, tmp_path, synth_mnist_dir, capsys):
     """Config keys, flag spellings and echoed defaults of each command."""
-    args, overridden, value_flags, config_only, echo = _INTERFACE[command]
+    args, overridden, key_flags, echo = _INTERFACE[command]
     bogus = tmp_path / "bogus.cfg"
     bogus.write_text("no_such_key = 1\n")
     assert run([command, "--config", str(bogus)]) == 1
     keys = set(capsys.readouterr().err.strip().split("valid keys: ")[1].split(", "))
     training = command != "gradcheck"
     shared = {"seed", "out"} | ({"f32"} if training else set())
-    assert keys == shared | set(value_flags) | config_only
+    assert keys == shared | set(key_flags)
 
     sub = next(a for a in cli.build_parser()._actions
                if a.dest == "command").choices[command]
     flags = {a.dest: "switch" if a.nargs == 0 else a.option_strings[0]
              for a in sub._actions if a.option_strings
              and a.dest not in ("help", "config")}
-    expected_flags = {"seed": "--seed", "out": "--out", **value_flags}
+    expected_flags = {"seed": "--seed", "out": "--out", **key_flags}
     if training:
         expected_flags["f32"] = "switch"
     assert flags == expected_flags
@@ -458,25 +493,31 @@ def test_every_accepted_key_reaches_the_run(command, tmp_path):
     keys = {o.name for o in cli.COMMANDS[command][1]} - {"out"}
     assert keys == set(_ALTERED[command])
 
-    def run_body(entries):
+    def run_body(entries, flags=()):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("".join(f"{k} = {v}\n"
                                for k, v in {**_BASE_RUN[command], **entries}.items()))
         out = tmp_path / "k.csv"
-        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, entries
+        argv = [command, "--config", str(cfg), *flags, "--out", str(out)]
+        assert run(argv) == 0, argv
         return [body(p) for p in cli._outputs(command, str(out))]
 
     for key in sorted(keys):
         context = _CONTEXT.get(key, {})
-        assert run_body({**context, key: _ALTERED[command][key]}) != run_body(context), key
+        value = _ALTERED[command][key]
+        by_config = run_body({**context, key: value})
+        assert by_config != run_body(context), key
+        flag = key.replace("_", "-")
+        as_flag = {"true": f"--{flag}", "false": f"--no-{flag}"}.get(value, f"--{flag}={value}")
+        assert run_body(context, [as_flag]) == by_config, as_flag
 
 
-# one run of each command, small; fractal's epochs and widths are config-only
+# one run of each command, small
 _SMALL_RUN = {
     "mnist": (["--data-dir", "{idx}", "--subset", "64", "--epochs", "1"],
               "epoch,train_loss,test_loss,metric"),
     "approx": (["--steps", "5", "--n", "16", "--test-n", "8"], "x,y_true,y_pred"),
-    "fractal": (["--grid", "4", "--config", "{cfg}"], None),
+    "fractal": (["--grid", "4", "--epochs", "1", "--widths", "2,4,1"], None),
     "ablate": (["--axis", "norm", "--data-dir", "{idx}", "--subset", "64", "--epochs", "1"],
                "axis_value,test_accuracy,test_loss,param_count,wall_time_s"),
     "gradcheck": (["--trials", "1"], "max_rel_err"),
@@ -489,11 +530,9 @@ def test_every_output_file_is_the_echo_block_then_the_body(command, tmp_path, mo
     # the body ends with the BLAS thread variables, which can change its last bits
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cfg = tmp_path / "f.cfg"
-    cfg.write_text("epochs = 1\nwidths = 2,4,1\n")
     out = tmp_path / "out.csv"
     args, header = _SMALL_RUN[command]
-    argv = [command, *(a.format(idx=synth_mnist_dir, cfg=cfg) for a in args),
+    argv = [command, *(a.format(idx=synth_mnist_dir) for a in args),
             "--out", str(out)]
     assert run(argv) == 0
     resolved = cli.resolve(command, cli.COMMANDS[command][1],
