@@ -176,7 +176,7 @@ def resolve(command, opts, args):
     keys follow the options' order."""
     raw = {}
     config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path is not None:  # an empty path reads as "." and fails
         known = {o.name for o in opts}
         for key, value in parse_config_file(config_path).items():
             if key not in known:

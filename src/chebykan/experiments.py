@@ -74,13 +74,14 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.optimizer == "sgd" and not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        self.make_optimizer()  # its constructor checks lr and momentum
         check_seed(self.seed)
+
+    def make_optimizer(self):
+        """A fresh optimizer of this schedule, the one `train` steps with."""
+        return Adam(lr=self.lr) if self.optimizer == "adam" else Sgd(self.lr, self.momentum)
 
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,
@@ -127,21 +128,24 @@ def _objective(ds, name="the dataset"):
 
 
 def _loss_and_metric(model, ds, chunk=1024):
-    """Full-dataset loss and metric with the model frozen (eval mode); the
-    metric is the accuracy on labels and the loss itself on targets."""
+    """Full-dataset loss and metric with the model frozen (eval mode), then
+    back in its old mode, also when a forward raises; the metric is the
+    accuracy on labels and the loss itself on targets."""
     loss_fn, answers = _objective(ds)
     was_training = model.training
     model.eval()
     n = len(ds)
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, chunk):
-        y = model.forward(ds.features[start:start + chunk])
-        want = answers[start:start + chunk]
-        loss_sum += loss_fn(y, want)[0] * len(want)
-        if ds.labels is not None:
-            correct += int(np.sum(np.argmax(y, axis=1) == want))
-    model.train(was_training)
+    try:
+        for start in range(0, n, chunk):
+            y = model.forward(ds.features[start:start + chunk])
+            want = answers[start:start + chunk]
+            loss_sum += loss_fn(y, want)[0] * len(want)
+            if ds.labels is not None:
+                correct += int(np.sum(np.argmax(y, axis=1) == want))
+    finally:
+        model.train(was_training)
     loss = loss_sum / n
     return loss, (correct / n if ds.labels is not None else loss)
 
@@ -197,7 +201,7 @@ def train(model, train_ds, test_ds, cfg):
                              f"{ds.targets.shape[1]}, got {last}")
     loss_fn, answers = _objective(train_ds)
     rng = Rng(cfg.seed, "train/shuffle")
-    opt = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr, momentum=cfg.momentum)
+    opt = cfg.make_optimizer()
     t0 = time.perf_counter()
     rows = []
     n = len(train_ds)
@@ -254,69 +258,56 @@ def _einsum_forward(model, x, params):
     return x
 
 
-def _complex_step(model, x, loss, h):
-    """(d_params, d_x): the derivative of loss(`_einsum_forward`'s output) by
-    each entry of `model`'s parameter vector and of x, by the complex step
-    (Squire & Trapp, SIAM Review 40(1), 1998). Adding i*h to one entry of a
-    complex copy of (flat_params, x) makes Im loss / h its derivative up to
-    O(h^2): one evaluation per entry and no subtraction, so h can be as small
-    as 1e-40. An entry whose loss is non-finite in either part reads NaN."""
+def _unit_directions(model, x):
+    """One (v, u) pair per entry of `model`'s parameter vector and of x: v
+    over the parameters and u over x, one entry 1 and every other 0."""
     n = model.flat_params.size
-    z = np.concatenate([model.flat_params, np.ravel(x)]).astype(complex)
-    grad = np.empty(z.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # such an entry reads NaN
-        for i in range(z.size):
-            z.imag[i] = h
-            f = loss(_einsum_forward(model, z[n:].reshape(x.shape), z[:n]))
-            z.imag[i] = 0.0
-            grad[i] = f.imag / h if np.isfinite(f) else np.nan
-    return grad[:n], grad[n:].reshape(x.shape)
+    for i in range(n + x.size):
+        e = np.zeros(n + x.size)
+        e[i] = 1.0
+        yield e[:n], e[n:].reshape(x.shape)
 
 
-def _directional_check(model, x, loss, dLdx, directions, rng):
-    """Worst relative error, over `directions` random directions, of the
+def _directional_check(model, x, loss, dLdx, directions, h):
+    """Worst relative error, over the (v, u) pairs in `directions`, of the
     gradients the last backward of `model` at x left: ``flat_grads`` and,
-    unless `dLdx` is None (a ``backward(input_grad=False)``), the returned
-    dL/dx.
+    unless `dLdx` is None (a ``backward(input_grad=False)``; u must then be
+    zero), the returned dL/dx.
 
-    For a normal direction v over the parameters and u over x (no u without
-    `dLdx`), one complex `_einsum_forward` at (params + i*h*v, x + i*h*u)
-    with h = 1e-30 gives the directional derivative Im loss / h, the complex
-    step of Squire & Trapp along a direction, and it must equal
-    flat_grads.v + sum(dLdx*u).
-    One forward checks every entry at once, so the check runs at the
-    workload shapes, where `_complex_step` would take one forward per entry.
-    `loss` maps the output to a scalar and must be complex-analytic; `rng` is
-    an `Rng`. The relative error is `grad_check`'s; a non-finite one makes
-    the result non-finite.
+    v runs over the parameter vector and u over x. One complex
+    `_einsum_forward` at (params + i*h*v, x + i*h*u) gives Im loss / h, the
+    derivative along (v, u) up to O(h^2) with no subtraction (the complex
+    step of Squire & Trapp, SIAM Review 40(1), 1998), so h can be as small as
+    1e-40; it must equal flat_grads.v + sum(dLdx*u). Along `_unit_directions`
+    a forward checks one entry, along a random direction every entry at
+    once. `loss` must be complex-analytic. The relative error is
+    |slope - numeric| / max(1e-12, |numeric|); a direction whose loss is
+    non-finite in either part reads NaN, and so does the result.
     """
-    h, worst = 1e-30, 0.0
+    worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # such a direction reads NaN
-        for _ in range(directions):
-            v = rng.normal(0.0, 1.0, model.flat_params.shape)
+        for v, u in directions:
             slope = model.flat_grads @ v
-            z = x.astype(complex)
             if dLdx is not None:
-                u = rng.normal(0.0, 1.0, x.shape)
                 slope += np.sum(dLdx * u)
-                z.imag = h * u
-            numeric = loss(_einsum_forward(model, z, model.flat_params + 1j * h * v)).imag / h
+            f = loss(_einsum_forward(model, x + 1j * h * u, model.flat_params + 1j * h * v))
+            numeric = f.imag / h if np.isfinite(f) else np.nan
             worst = np.maximum(worst, abs(slope - numeric) / max(1e-12, abs(numeric)))
     return float(worst)
 
 
 def grad_check(trials=100, h=1e-40, seed=1234):
-    """Worst relative error of the backward pass against `_complex_step`
-    (step ``h``) over random small networks.
+    """Worst relative error of the backward pass against `_directional_check`
+    (step ``h``) along `_unit_directions` over random small networks.
 
     Each trial draws widths (2-3 layers, 1-4 units), degree 0-6, either
     polynomial kind, and LayerNorm on/off, and checks the gradient of a
     weighted sum-of-squares loss at every parameter and input coordinate.
-    Relative error is |analytic - numeric| / max(1e-12, |numeric|). At degree
-    0 the output ignores the input, so any nonzero analytic input gradient
-    fails. A non-finite error makes the result non-finite, and an ``h`` that
-    is not finite or is below the smallest normal float (a subnormal i*h loses
-    bits), or ``trials < 1``, raises ValueError: such a run measures nothing.
+    At degree 0 the output ignores the input, so any nonzero analytic input
+    gradient fails. A non-finite error makes the result non-finite, and an
+    ``h`` that is not finite or is below the smallest normal float (a
+    subnormal i*h loses bits), or ``trials < 1``, raises ValueError: such a
+    run measures nothing.
     """
     if not np.finfo(float).tiny <= h < math.inf:
         raise ValueError(f"h must be finite and >= {np.finfo(float).tiny}, got {h}")
@@ -340,10 +331,9 @@ def grad_check(trials=100, h=1e-40, seed=1234):
 
         y = model.forward(x)  # a built model is in training mode
         dLdx = model.backward(2.0 * w * y)
-        numeric = _complex_step(model, x, lambda out: np.sum(w * out * out), h)
-        for analytic, num in zip((model.flat_grads, dLdx), numeric):
-            rel = np.abs(analytic - num) / np.maximum(1e-12, np.abs(num))
-            worst = np.maximum(worst, rel.max())
+        loss = lambda out: np.sum(w * out * out)
+        worst = np.maximum(worst, _directional_check(model, x, loss, dLdx,
+                                                     _unit_directions(model, x), h))
 
     return float(worst)
 

@@ -255,18 +255,17 @@ class LayerNorm:
     """Per-row normalization with learnable scale and shift.
 
     A constant row has zero variance; eps keeps the division finite, so its
-    output is exactly beta.
+    output is exactly beta. eps is a constant: the checkpoint does not store
+    it, so a per-layer value would not survive a save and load.
     """
 
     param_names = ("gamma", "beta")
+    eps = 1e-5
 
-    def __init__(self, dim, eps=1e-5, dtype=np.float64):
+    def __init__(self, dim, dtype=np.float64):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not 0.0 < eps < math.inf:  # also rejects nan
-            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.dim = dim
-        self.eps = eps
         self.gamma = np.ones(dim, dtype=ndcore.check_dtype(dtype))
         self.beta = np.zeros_like(self.gamma)
         self.grad_gamma = np.zeros_like(self.gamma)

@@ -241,7 +241,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert run(["approx", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:3: key 'steps' is already set on line 1\n"
-    assert run(["approx", "--config", str(tmp_path / "missing.cfg")]) == 1
+    for missing in (str(tmp_path / "missing.cfg"), ""):
+        assert run(["approx", "--config", missing]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_mnist_epochs_zero_single_row(tmp_path, synth_mnist_dir):

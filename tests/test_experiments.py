@@ -9,7 +9,7 @@ from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
                                   ablation_csv_lines, evaluate, grad_check,
                                   run_ablation, train)
 from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod
-from chebykan.ndcore import Rng
+from chebykan.ndcore import Rng, ShapeError
 from chebykan.network import ArchSpec, build, mnist_arch, param_count
 from chebykan.optim import mse_loss, softmax_cross_entropy
 from chebykan.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS
@@ -185,6 +185,9 @@ def test_config_validation():
         _small_cfg(batch_size=0).validate()
     with pytest.raises(ValueError):
         _small_cfg(optimizer="lbfgs").validate()
+    # the optimizer's name is checked before the optimizer checks lr
+    with pytest.raises(ValueError, match="optimizer must be"):
+        _small_cfg(optimizer="lbfgs", lr=0.0).validate()
     with pytest.raises(ValueError):
         _small_cfg(max_steps=-1).validate()
     for lr in (0.0, -1.0, float("nan"), float("inf")):
@@ -236,6 +239,16 @@ def test_evaluate_regression_zero_on_exact_targets():
         evaluate(model, labelled, "regress")
 
 
+def test_evaluate_restores_the_mode_when_a_forward_raises():
+    model = _build_for(_small_cfg(widths=[3, 4, 1]))  # built in training mode
+    wide = Dataset(features=np.zeros((8, 5)), targets=np.zeros((8, 1)))
+    with pytest.raises(ShapeError):
+        evaluate(model, wide, "regress")
+    assert model.training and all(layer.training for layer in model.layers)
+    model.forward(np.zeros((2, 3)))
+    model.backward(np.ones((2, 1)))  # needs the training cache
+
+
 def test_grad_check_small_run_passes():
     assert grad_check(trials=15) <= 1e-5
 
@@ -283,8 +296,8 @@ def _complex_cross_entropy(labels):
 ], ids=["mnist_train", "mnist_eval", "fractal", "function_fit"])
 def test_backward_matches_directional_complex_steps_at_workload_shapes(
         widths, degree, kind, input_grad):
-    # grad_check audits widths 1-4 entry by entry; one complex forward per
-    # direction checks every gradient entry at the widths the workloads run
+    # grad_check audits widths 1-4 along unit directions; one complex forward
+    # per random direction checks every gradient entry at the workload widths
     r = Rng(0, "directional")
     spec = ArchSpec(widths=widths, degree=degree, kind=kind, layernorm_between=True)
     model = build(spec, InitMethod.XAVIER, r.substream("init"))
@@ -300,13 +313,19 @@ def test_backward_matches_directional_complex_steps_at_workload_shapes(
         loss = lambda out: np.mean((out - target) ** 2)
     dLdx = model.backward(dLdy, input_grad)
     assert (dLdx is None) is not input_grad
-    check = lambda n: experiments._directional_check(model, x, loss, dLdx, n,
-                                                     r.substream("directions"))
-    assert check(3) <= 1e-9
+
+    def directions(n):
+        rng = r.substream("directions")
+        for _ in range(n):
+            v = rng.normal(0.0, 1.0, model.flat_params.shape)
+            u = rng.normal(0.0, 1.0, x.shape) if input_grad else np.zeros(x.shape)
+            yield v, u
+
+    assert experiments._directional_check(model, x, loss, dLdx, directions(3), 1e-30) <= 1e-9
     # teeth: one coefficient-gradient entry off by 1e-4 of itself fails it
     grad_w = model.layers[0].grad_w
     grad_w.flat[np.argmax(np.abs(grad_w))] *= 1.0 + 1e-4
-    assert check(1) > 1e-9
+    assert experiments._directional_check(model, x, loss, dLdx, directions(1), 1e-30) > 1e-9
 
 
 @pytest.mark.parametrize("seed", [10, 18, 27, 43])

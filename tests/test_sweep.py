@@ -4,7 +4,8 @@ package's own Rng.
 
 It reaches the corners grad_check never draws (degrees 7-8, float32), so it
 guards the closed-form input gradient ((k+s) P_{k-1} - k x P_k) everywhere,
-against the complex-step derivatives grad_check also reads.
+against the complex step of `_directional_check` along unit directions, the
+check grad_check also runs.
 It also round-trips every swept architecture through a checkpoint, and feeds
 fuzzed checkpoints and IDX files to the loaders, which must reject each one
 with their documented error, and hostile config values to the CLI, which
@@ -22,7 +23,7 @@ from chebykan.chebyshev import PolyKind, eval_basis, eval_basis_derivative
 from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS,
                            IdxFormatError, idx_header_bytes, load_mnist_idx,
                            write_idx)
-from chebykan.experiments import _complex_step
+from chebykan.experiments import _directional_check, _unit_directions
 from chebykan.layers import InitMethod
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, load_network, save_network
@@ -75,10 +76,10 @@ def test_forward_equals_einsum_over_eval_basis():
 def test_float64_gradients_match_complex_step():
     for widths, degree, kind, ln, x, w, init in CASES:
         model = _model(widths, degree, kind, ln, init, np.float64)
-        label = str((widths, degree, kind, ln, x.shape[0]))
-        numeric = _complex_step(model, x, lambda y: np.sum(w * y), 1e-40)
-        for analytic, num in zip(_grads(model, x, w), numeric):
-            np.testing.assert_allclose(analytic, num, rtol=1e-5, atol=1e-9, err_msg=label)
+        _, dLdx = _grads(model, x, w)
+        err = _directional_check(model, x, lambda y: np.sum(w * y), dLdx,
+                                 _unit_directions(model, x), 1e-40)
+        assert err <= 1e-5, (widths, degree, kind, ln, x.shape[0])
 
 
 def test_float32_gradients_match_float64():
