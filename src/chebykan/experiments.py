@@ -83,6 +83,10 @@ class TrainConfig:
         """A fresh optimizer of this schedule, the one `train` steps with."""
         return Adam(lr=self.lr) if self.optimizer == "adam" else Sgd(self.lr, self.momentum)
 
+    def build_model(self):
+        """A fresh model of this spec, init and dtype from the (seed, "init") substream."""
+        return build(self.arch(), self.init, Rng(self.seed, "init"), self.dtype)
+
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,
                         kind=self.kind, layernorm_between=self.layernorm)
@@ -127,32 +131,25 @@ def _objective(ds, name="the dataset"):
     return mse_loss, ds.targets
 
 
-def _loss_and_metric(model, ds, chunk=1024):
-    """Full-dataset loss and metric with the model frozen (eval mode), then
-    back in its old mode, also when a forward raises; the metric is the
-    accuracy on labels and the loss itself on targets."""
+def _loss_and_metric(model, ds):
+    """Loss and metric of the whole split from one eval-mode forward (the layers
+    bound its working set), then the model back in its old mode, also when the
+    forward raises; the metric is accuracy on labels and the loss on targets."""
     loss_fn, answers = _objective(ds)
     was_training = model.training
     model.eval()
-    n = len(ds)
-    loss_sum = 0.0
-    correct = 0
     try:
-        for start in range(0, n, chunk):
-            y = model.forward(ds.features[start:start + chunk])
-            want = answers[start:start + chunk]
-            loss_sum += loss_fn(y, want)[0] * len(want)
-            if ds.labels is not None:
-                correct += int(np.sum(np.argmax(y, axis=1) == want))
+        y = model.forward(ds.features)
     finally:
         model.train(was_training)
-    loss = loss_sum / n
-    return loss, (correct / n if ds.labels is not None else loss)
+    loss = loss_fn(y, answers)[0]
+    return loss, (loss if ds.labels is None else float(np.mean(np.argmax(y, axis=1) == answers)))
 
 
 def evaluate(model, ds, task):
-    """classify -> argmax-match fraction (argmax ties go to the lower class index);
-    regress -> mean squared error. Labels need classify, targets regress."""
+    """classify -> argmax-match fraction (ties go to the lower class index),
+    regress -> mean squared error, both from one eval forward over the whole
+    split. Labels need classify, targets regress."""
     _objective(ds)  # empty or answerless: ValueError
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
@@ -351,8 +348,7 @@ def run_classifier(cfg, train_raw, test_raw):
     """Normalize (train stats reused for test), build, train; returns the record."""
     tr = apply_norm(train_raw, cfg.norm)
     te = apply_norm(test_raw, cfg.norm, stats=tr.norm)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
-    return train(model, tr, te, cfg)
+    return train(cfg.build_model(), tr, te, cfg)
 
 
 def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
@@ -372,7 +368,7 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     test_ds = sample_function(target, lo, hi, test_n, rng.substream("test"))
     # every epoch takes at least one optimizer step, so `steps` epochs suffice
     cfg = replace(cfg, epochs=steps, max_steps=steps)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
+    model = cfg.build_model()
     return train(model, train_ds, test_ds, cfg), model, test_ds
 
 
@@ -380,7 +376,7 @@ def fit_fractal(cfg, params):
     """Fit the fractal surface `params` describes, training and scoring on its
     whole grid; returns the untrained MSE, the record, the model and the grid."""
     ds = fractal_grid(params)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"), cfg.dtype)
+    model = cfg.build_model()
     # epochs=0 runs train's data checks, then evaluates the untrained model
     initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
     return initial_mse, train(model, ds, ds, cfg), model, ds

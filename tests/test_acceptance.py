@@ -16,8 +16,7 @@ from chebykan.data import (Dataset, FractalParams, NormScheme, apply_norm,
                            TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
 from chebykan.experiments import TrainConfig, evaluate, grad_check, train
 from chebykan.layers import InitMethod
-from chebykan.ndcore import Rng
-from chebykan.network import build, mnist_arch, param_count
+from chebykan.network import mnist_arch, param_count
 
 from conftest import real_mnist_dir
 
@@ -119,7 +118,7 @@ def _mnist_run(data_dir, subset=None, epochs=10, init=InitMethod.XAVIER,
     cfg = TrainConfig(epochs=epochs, batch_size=64, lr=1e-3, seed=seed,
                       degree=degree, init=init)
     tr, te = _mnist_splits(data_dir, cfg.norm, subset)
-    model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+    model = cfg.build_model()
     return train(model, tr, te, cfg)
 
 
@@ -185,7 +184,7 @@ def test_criterion_7_fractal_fit():
 
     def run(b):
         ds = fractal_grid(FractalParams(b=b, seed=42))
-        model = build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
+        model = cfg.build_model()
         initial = evaluate(model, ds, "regress")
         record = train(model, ds, ds, cfg)
         return initial, record.rows[-1].test_loss

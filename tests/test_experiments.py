@@ -26,10 +26,6 @@ def _small_cfg(**overrides):
     return TrainConfig(**base)
 
 
-def _build_for(cfg):
-    return build(cfg.arch(), cfg.init, Rng(cfg.seed, "init"))
-
-
 def test_eval_forward_of_the_mnist_model_matches_the_einsum_oracle():
     # degree 5, second kind: the first layer's eval forward runs two full row
     # blocks and a ragged tail, the oracle one einsum over the whole batch;
@@ -45,7 +41,7 @@ def test_eval_forward_of_the_mnist_model_matches_the_einsum_oracle():
 
 def test_train_regression_improves_and_logs_rows():
     cfg = _small_cfg()
-    record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+    record = train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
     assert [r.epoch for r in record.rows] == [1, 2, 3]
     assert record.rows[-1].test_loss < record.rows[0].test_loss
     assert record.final_metric == record.rows[-1].metric
@@ -55,7 +51,7 @@ def test_train_is_deterministic():
     runs = []
     for mode in (True, False):  # a model left in eval mode trains the same
         cfg = _small_cfg()
-        model = _build_for(cfg).train(mode)
+        model = cfg.build_model().train(mode)
         record = train(model, _toy_regression(), _toy_regression(seed=1), cfg)
         assert model.training
         runs.append([(r.epoch, r.train_loss, r.test_loss, r.metric)
@@ -65,7 +61,7 @@ def test_train_is_deterministic():
 
 def test_epochs_zero_gives_single_evaluation_row():
     cfg = _small_cfg(epochs=0)
-    record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+    record = train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
     assert len(record.rows) == 1
     assert record.rows[0].epoch == 0
     assert np.isfinite(record.rows[0].test_loss)
@@ -76,18 +72,18 @@ def test_max_steps_caps_training():
     # and a budget spent on an epoch's last batch starts no empty epoch
     for max_steps, epochs in ((12, [1, 2]), (8, [1]), (16, [1, 2])):
         cfg = _small_cfg(epochs=10, max_steps=max_steps)
-        record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+        record = train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
         assert [r.epoch for r in record.rows] == epochs, max_steps
 
 
 def test_max_steps_zero_takes_no_step():
     cfg = _small_cfg(epochs=10, max_steps=0)
-    model = _build_for(cfg)
+    model = cfg.build_model()
     before = model.flat_params.copy()
     record = train(model, _toy_regression(), _toy_regression(seed=1), cfg)
     np.testing.assert_array_equal(model.flat_params, before)
     zero = _small_cfg(epochs=0)
-    expect = train(_build_for(zero), _toy_regression(), _toy_regression(seed=1), zero)
+    expect = train(zero.build_model(), _toy_regression(), _toy_regression(seed=1), zero)
     assert [(r.epoch, r.train_loss, r.test_loss, r.metric) for r in record.rows] == \
         [(r.epoch, r.train_loss, r.test_loss, r.metric) for r in expect.rows]
 
@@ -97,12 +93,33 @@ def test_cut_short_epoch_averages_over_the_rows_it_trained_on():
     # batch's loss is a full epoch's; 256 rows / batch 64 = 4 steps per epoch,
     # and 6 steps end epoch 2 after half its rows
     ds = Dataset(features=np.full((256, 1), 0.3), targets=np.full((256, 1), 0.8))
-    full, cut = (train(_build_for(_small_cfg()), ds, ds,
+    full, cut = (train(_small_cfg().build_model(), ds, ds,
                        _small_cfg(epochs=2, batch_size=64, lr=1e-12, max_steps=steps))
                  for steps in (None, 6))
     assert [r.epoch for r in cut.rows] == [1, 2]
     assert cut.rows[0] == full.rows[0]
     np.testing.assert_allclose(cut.rows[1].train_loss, full.rows[1].train_loss, rtol=1e-9)
+
+
+def test_a_split_is_scored_with_one_forward():
+    # the layers bound an eval forward's working set, so evaluate and each
+    # epoch's score run one forward per split, however many rows it has
+    cfg = _small_cfg(epochs=2, batch_size=1000)
+    ds = _toy_regression(n=3000)
+    model = cfg.build_model()
+    rows, forward = [], model.forward
+
+    def spy(x):
+        if not model.training:
+            rows.append(len(x))
+        return forward(x)
+
+    model.forward = spy
+    evaluate(model, ds, "regress")
+    assert rows == [3000]
+    rows.clear()
+    train(model, ds, ds, cfg)
+    assert rows == [3000, 3000]  # one per epoch
 
 
 def test_answerless_or_empty_dataset_raises_value_error():
@@ -112,8 +129,8 @@ def test_answerless_or_empty_dataset_raises_value_error():
     empty = Dataset(features=ds.features[:0], targets=ds.targets[:0])
     for split, pair in (("train", (answerless, ds)), ("test", (ds, answerless))):
         with pytest.raises(ValueError, match=f"the {split} dataset has neither labels nor targets"):
-            train(_build_for(cfg), *pair, cfg)
-    model = _build_for(cfg)
+            train(cfg.build_model(), *pair, cfg)
+    model = cfg.build_model()
     for task in ("classify", "regress"):
         with pytest.raises(ValueError, match="the dataset has neither labels nor targets"):
             evaluate(model, answerless, task)
@@ -129,9 +146,9 @@ def test_empty_split_raises_value_error_naming_it():
     ds = _toy_regression()
     empty = Dataset(features=ds.features[:0], targets=ds.targets[:0])
     with pytest.raises(ValueError, match="train"):
-        train(_build_for(cfg), empty, ds, cfg)
+        train(cfg.build_model(), empty, ds, cfg)
     with pytest.raises(ValueError, match="test"):
-        train(_build_for(cfg), ds, empty, cfg)
+        train(cfg.build_model(), ds, empty, cfg)
 
 
 def test_non_finite_split_raises_value_error_naming_it():
@@ -141,9 +158,9 @@ def test_non_finite_split_raises_value_error_naming_it():
         broken = Dataset(features=ds.features.copy(), targets=ds.targets.copy())
         getattr(broken, name)[3, 0] = bad
         with pytest.raises(ValueError, match=f"train dataset has non-finite {name}"):
-            train(_build_for(cfg), broken, ds, cfg)
+            train(cfg.build_model(), broken, ds, cfg)
         with pytest.raises(ValueError, match=f"test dataset has non-finite {name}"):
-            train(_build_for(cfg), ds, broken, cfg)
+            train(cfg.build_model(), ds, broken, cfg)
 
 
 def test_widths_that_do_not_fit_the_data_raise_before_any_step():
@@ -155,7 +172,7 @@ def test_widths_that_do_not_fit_the_data_raise_before_any_step():
             ([1, 8, 9], digits, "more than 9 outputs"),
     ):
         # the model's widths are checked, not the cfg's, which here fit
-        model = _build_for(_small_cfg(widths=widths))
+        model = _small_cfg(widths=widths).build_model()
         before = model.flat_params.copy()
         with pytest.raises(ValueError, match=f"widths must .*{message}"):
             train(model, train_ds, train_ds, _small_cfg())
@@ -163,9 +180,9 @@ def test_widths_that_do_not_fit_the_data_raise_before_any_step():
     # a model that fits trains under the default cfg, whose widths are MNIST's,
     # and under cfg architecture fields no model could have, since train
     # reads only the cfg's schedule
-    record = train(_build_for(_small_cfg()), ds, ds, TrainConfig(epochs=1))
+    record = train(_small_cfg().build_model(), ds, ds, TrainConfig(epochs=1))
     assert [r.epoch for r in record.rows] == [1]
-    model = _build_for(_small_cfg(widths=[1, 4, 1]))
+    model = _small_cfg(widths=[1, 4, 1]).build_model()
     for arch in (dict(degree=-1), dict(widths=[5, 0])):
         record = train(model, ds, ds, TrainConfig(epochs=1, batch_size=32, **arch))
         assert [r.epoch for r in record.rows] == [1], arch
@@ -175,7 +192,7 @@ def test_divergence_raises_with_location():
     cfg = _small_cfg(optimizer="sgd", lr=1e200, epochs=5)
     with pytest.raises(DivergenceError, match="epoch"):
         with np.errstate(all="ignore"):
-            train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+            train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
 
 
 def test_config_validation():
@@ -226,7 +243,7 @@ def test_evaluate_constant_classifier_on_balanced_set():
 
 def test_evaluate_regression_zero_on_exact_targets():
     cfg = _small_cfg(epochs=0)
-    model = _build_for(cfg)
+    model = cfg.build_model()
     ds = _toy_regression(32)
     exact = Dataset(features=ds.features, targets=model.forward(ds.features))
     assert evaluate(model, exact, "regress") == 0.0
@@ -240,7 +257,7 @@ def test_evaluate_regression_zero_on_exact_targets():
 
 
 def test_evaluate_restores_the_mode_when_a_forward_raises():
-    model = _build_for(_small_cfg(widths=[3, 4, 1]))  # built in training mode
+    model = _small_cfg(widths=[3, 4, 1]).build_model()  # built in training mode
     wide = Dataset(features=np.zeros((8, 5)), targets=np.zeros((8, 1)))
     with pytest.raises(ShapeError):
         evaluate(model, wide, "regress")
@@ -337,7 +354,7 @@ def test_grad_check_resolves_tiny_gradient_entries(seed):
 
 def test_run_csv_format():
     cfg = _small_cfg(epochs=2)
-    record = train(_build_for(cfg), _toy_regression(), _toy_regression(seed=1), cfg)
+    record = train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
     lines = record.csv_lines()
     assert lines[0] == RUN_CSV_HEADER
     assert lines[-1].startswith("# wall_time_s")
@@ -398,6 +415,5 @@ def test_norm_schemes_all_train(synth_mnist_dir):
                           widths=[784, 16, 10], norm=scheme)
         tr = apply_norm(train_raw, scheme)
         te = apply_norm(test_raw, scheme, stats=tr.norm)
-        record = train(build(cfg.arch(), cfg.init, Rng(cfg.seed, "init")),
-                       tr, te, cfg)
+        record = train(cfg.build_model(), tr, te, cfg)
         assert record.final_metric > 0.15  # far above the 0.1 chance floor

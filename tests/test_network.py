@@ -7,7 +7,7 @@ import pytest
 
 from chebykan.chebyshev import PolyKind
 from chebykan.data import Dataset
-from chebykan.experiments import TrainConfig, train
+from chebykan.experiments import TrainConfig, evaluate, train
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm
 from chebykan.ndcore import Rng
 from chebykan.network import (MNIST_WIDTHS, ArchSpec, Sequential, build, load_network,
@@ -112,16 +112,19 @@ def test_train_eval_toggle_propagates():
 
 def test_eval_forward_memory_is_bounded():
     # eval mode streams the basis through the contraction a block of rows at
-    # a time; the whole degree-5 stack of this batch would be 6 times x
+    # a time; the whole degree-5 stack of this batch would be 6 times x.
+    # evaluate scores a split with one forward, so it keeps the same bound
     model = build(mnist_arch(5, S), InitMethod.LECUN, Rng(0, "t")).eval()
     x = Rng(0, "x").uniform(-1.0, 1.0, (4096, 784))
-    tracemalloc.start()
-    try:
-        model.forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * x.nbytes + (8 << 20), peak
+    ds = Dataset(features=x, labels=np.arange(len(x)) % 10)
+    for score in (lambda: model.forward(x), lambda: evaluate(model, ds, "classify")):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes + (8 << 20), peak
 
 
 def test_per_layer_substreams_are_stable():
