@@ -109,8 +109,8 @@ _HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "lea
          "n": "training samples", "test_n": "test samples", "steps": "optimizer steps",
          "alpha": "noise persistence", "b": "noise amplitude", "iters": "noise iterations",
          "grid": "grid points per side", "extent": "half-width of the square domain",
-         "optimizer": "adam or sgd", "momentum": "sgd momentum",
-         "layernorm": "LayerNorm between KAN layers", "max_steps": "cap on optimizer steps"}
+         "optimizer": "adam or sgd", "layernorm": "LayerNorm between KAN layers",
+         "max_steps": "cap on optimizer steps"}
 
 
 def _opts(defaults, skip=()):
@@ -297,10 +297,14 @@ def cmd_fractal(resolved):
 
 
 def cmd_ablate(resolved):
-    if resolved["axis"] is None:
+    axis = resolved["axis"]
+    if axis is None:
         raise ValueError("--axis is required (init, degree, norm, or kind)")
-    rows = run_ablation(resolved["axis"], _train_config(resolved),
-                        *load_mnist(resolved["data_dir"], resolved["subset"]))
+    cfg = _train_config(resolved)
+    if resolved[axis] != _TRAINING[axis]:  # the sweep would overwrite it
+        raise ValueError(f"--axis {axis} sweeps {axis}, so {axis} must keep its default "
+                         f"{_fmt(_TRAINING[axis])}; got {_fmt(resolved[axis])}")
+    rows = run_ablation(axis, cfg, *load_mnist(resolved["data_dir"], resolved["subset"]))
     for r in rows:
         print(f"{r.axis_value}: accuracy {r.test_accuracy!r}, loss {r.test_loss!r}, "
               f"{r.param_count} params")

@@ -61,7 +61,6 @@ class TrainConfig:
     kind: PolyKind = PolyKind.FIRST
     widths: list = field(default_factory=lambda: list(network.MNIST_WIDTHS))
     layernorm: bool = True
-    momentum: float = 0.9  # sgd only
     max_steps: int = None  # optional hard cap on optimizer steps
     dtype: type = np.float64  # model precision, passed to network.build
 
@@ -76,12 +75,12 @@ class TrainConfig:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        self.make_optimizer()  # its constructor checks lr and momentum
+        self.make_optimizer()  # its constructor checks lr
         check_seed(self.seed)
 
     def make_optimizer(self):
         """A fresh optimizer of this schedule, the one `train` steps with."""
-        return Adam(lr=self.lr) if self.optimizer == "adam" else Sgd(self.lr, self.momentum)
+        return Adam(self.lr) if self.optimizer == "adam" else Sgd(self.lr)
 
     def build_model(self):
         """A fresh model of this spec, init and dtype from the (seed, "init") substream."""
@@ -166,7 +165,7 @@ def train(model, train_ds, test_ds, cfg):
     The objective comes from the data (cross-entropy and accuracy on labels,
     mean squared error on targets), the architecture from the model, and
     only the schedule from `cfg`: its epochs, batch_size, lr, optimizer,
-    momentum, seed and max_steps, which `TrainConfig.validate` checks; its
+    seed and max_steps, which `TrainConfig.validate` checks; its
     architecture fields are `build`'s to check. The model is left in training
     mode, whatever its mode before. Shuffle order comes from the (seed,
     "train/shuffle") substream, so a rerun with the same config reproduces

@@ -26,15 +26,16 @@ from .chebyshev import PolyKind, _fill_basis
 
 
 # The most basis stack, in bytes, that one worker of an eval-mode
-# ChebyKanLayer.forward holds at once: one buffer, which every row block the
-# worker takes reuses, so a large batch does not grow the working set. On 2
-# vCPUs (2 MiB of L2 each) with one OpenBLAS thread and one worker, the eval
-# forward of a [784, 32, 16, 10] model over 1,024 rows, swept over 1, 2, 4, 8,
-# 16 and 32 MiB three times, was fastest at 1 MiB in every sweep: 8-14% ahead
-# of 4 MiB at degree 5 (second kind), 3-23% at degree 3 (first kind). A 1 MiB
-# stack stays in L2 beside the layer's coefficients; it is 33 rows at that
-# width and degree 5. The size fixes the block boundaries, so it is part of
-# the output's bits: the worker count is not (see _workers).
+# ChebyKanLayer.forward holds at once, unless one row's basis is bigger: one
+# buffer, which every row block the worker takes reuses, so a large batch does
+# not grow the working set. On 2 vCPUs (2 MiB of L2 each) with one OpenBLAS
+# thread and one worker, the eval forward of a [784, 32, 16, 10] model over
+# 1,024 rows, swept over 1, 2, 4, 8, 16 and 32 MiB three times, was fastest at
+# 1 MiB in every sweep: 8-14% ahead of 4 MiB at degree 5 (second kind), 3-23%
+# at degree 3 (first kind). A 1 MiB stack stays in L2 beside the layer's
+# coefficients; it is 33 rows at that width and degree 5. The size fixes the
+# block boundaries, so it is part of the output's bits: the worker count is not
+# (see _workers).
 EVAL_BASIS_BYTES = 1 << 20
 
 
@@ -130,9 +131,10 @@ class ChebyKanLayer:
     triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
     ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
     ``forward`` builds and contracts the stack a block of rows at a time. In
-    eval mode a block holds at most EVAL_BASIS_BYTES of basis, so the working
-    set stays in cache whatever the batch size, where the whole stack at
-    degree 5 is five times the input's size. Up to
+    eval mode a block holds at most EVAL_BASIS_BYTES of basis, or one row if
+    that row's is bigger (1.2 MB at degree 5 and 30,000 float64 inputs), so
+    the working set does not grow with the batch size, where the whole stack
+    at degree 5 is five times the input's size. Up to
     W = min(blocks, max(1, cpus // blas_threads)) threads, the calling thread
     among them, take the blocks from one shared iterator, each with its own
     EVAL_BASIS_BYTES stack (see ``_workers`` for ``cpus`` and

@@ -69,20 +69,16 @@ class Adam:
     fold into two scalars (Kingma & Ba, ICLR 2015, section 2), and a step
     makes ten passes over the parameters. It equals the textbook arithmetic
     up to rounding, not bit for bit. A step allocates nothing: the moments
-    and one scratch array are made on the first step and reused.
+    and one scratch array are made on the first step and reused. ``lr`` is
+    the one setting; the betas and eps are constants, Kingma & Ba's defaults.
     """
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=1e-3):
         if not 0 < lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {lr}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if not 0.0 < eps < math.inf:  # also rejects nan; at 0 a zero gradient steps by 0/0
-            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None
@@ -111,19 +107,17 @@ class Adam:
 
 
 class Sgd:
-    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v.
-
-    A step allocates nothing: the velocity and one scratch array for lr*v
-    are made on the first step and reused.
+    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v, with the constant
+    momentum 0.9. A step allocates nothing: the velocity and one scratch array
+    for lr*v are made on the first step and reused.
     """
 
-    def __init__(self, lr, momentum=0.0):
+    momentum = 0.9
+
+    def __init__(self, lr):
         if not 0 < lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
         self.lr = lr
-        self.momentum = momentum
         self.velocity = None
         self._scratch = None
 

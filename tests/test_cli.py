@@ -28,8 +28,8 @@ def comments(path):
 
 
 def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
-    sgd_nan = tmp_path / "sgd_nan.cfg"
-    sgd_nan.write_text("optimizer = sgd\nmomentum = nan\n")
+    momentum = tmp_path / "momentum.cfg"
+    momentum.write_text("momentum = 0.5\n")
     lr_nan = tmp_path / "lr_nan.cfg"
     lr_nan.write_text("lr = nan\n")
     narrow_in = tmp_path / "narrow_in.cfg"
@@ -48,7 +48,8 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         (["approx", "--steps", "-3"], "steps"),
         (["approx", "--lo", "3", "--hi", "2"], "lo"),
         (["approx", "--lo", "nan"], "lo"),
-        (["approx", "--config", str(sgd_nan), "--steps", "5"], "momentum"),
+        (["mnist", "--momentum", "0.5"], "momentum"),
+        (["mnist", "--config", str(momentum)], "momentum"),
         (["approx", "--config", str(lr_nan), "--steps", "5"], "lr"),
         (["mnist", "--config", str(lr_nan), "--data-dir",
           str(tmp_path / "nowhere")], "lr"),
@@ -80,6 +81,20 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         assert err.startswith("error:") and key in err, (argv, err)
     with pytest.raises(ValueError):
         cli.build_parser().parse_args(["nosuchcommand"])
+
+
+def test_ablate_rejects_a_value_for_the_axis_it_sweeps(tmp_path, synth_mnist_dir, capsys):
+    # the sweep sets its own axis, so a value for it would go unread
+    swept_init = tmp_path / "swept_init.cfg"
+    swept_init.write_text("init = he\n")
+    small = ["--data-dir", str(synth_mnist_dir), "--subset", "16", "--epochs", "1"]
+    out = tmp_path / "a.csv"
+    for argv, key, value in ((["--axis", "degree", "--degree", "7"], "degree", "7"),
+                             (["--axis", "init", "--config", str(swept_init)], "init", "he")):
+        assert run(["ablate", *argv, *small, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"sweeps {key}" in err and value in err, err
+        assert not out.exists()
 
 
 def test_unwritable_out_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
@@ -387,11 +402,10 @@ def test_config_echo_is_reusable_as_config(tmp_path):
 _CLASSIFIER_ECHO = {"degree": "3", "kind": "first", "init": "xavier",
                     "norm": "tanh", "epochs": "10", "batch_size": "64",
                     "lr": "0.001", "widths": "784,32,16,10",
-                    "optimizer": "adam", "momentum": "0.9", "layernorm": "true"}
+                    "optimizer": "adam", "layernorm": "true"}
 _FIT_FLAGS = {"degree": "--degree", "kind": "--kind", "init": "--init",
               "batch_size": "--batch-size", "lr": "--lr", "widths": "--widths",
-              "optimizer": "--optimizer", "momentum": "--momentum",
-              "layernorm": "switch"}
+              "optimizer": "--optimizer", "layernorm": "switch"}
 _CLASSIFIER_FLAGS = {**_FIT_FLAGS, "norm": "--norm", "epochs": "--epochs",
                      "max_steps": "--max-steps"}
 
@@ -410,8 +424,7 @@ _INTERFACE = {
          "test_n": "--test-n", "steps": "--steps", **_FIT_FLAGS},
         {"target": "sin_plus_sq", "lo": "-2.0", "hi": "2.0", "widths": "1,8,1",
          "degree": "4", "kind": "first", "init": "xavier", "batch_size": "64",
-         "lr": "0.01", "optimizer": "adam", "momentum": "0.9",
-         "layernorm": "true"},
+         "lr": "0.01", "optimizer": "adam", "layernorm": "true"},
     ),
     "fractal": (
         ["--grid", "4"], {"grid"},
@@ -421,7 +434,7 @@ _INTERFACE = {
         {"alpha": "0.7", "b": "0.001", "iters": "5", "extent": "2.0",
          "widths": "2,64,64,1", "degree": "3", "kind": "first", "init": "xavier",
          "epochs": "60", "batch_size": "64", "lr": "0.01",
-         "optimizer": "adam", "momentum": "0.9", "layernorm": "true"},
+         "optimizer": "adam", "layernorm": "true"},
     ),
     "ablate": (
         ["--axis", "degree", "--data-dir", "{idx}", "--subset", "64"],
@@ -470,15 +483,18 @@ def test_command_interface_is_pinned(command, tmp_path, synth_mnist_dir, capsys)
     assert echoed == {"seed": "42", **({"f32": "false"} if training else {}), **echo}
 
 
-# a value other than the base run's for every key approx and fractal accept
-# but out; momentum is read only by sgd, so its run and its baseline both
-# set optimizer = sgd
-_BASE_RUN = {"approx": {"steps": "5", "n": "16", "test_n": "8"},
+# a value other than the base run's for every key mnist, approx and fractal
+# accept but the paths out and data_dir
+_BASE_RUN = {"mnist": {"subset": "16", "widths": "784,4,10", "epochs": "2"},
+             "approx": {"steps": "5", "n": "16", "test_n": "8"},
              "fractal": {"grid": "4", "widths": "2,4,1", "epochs": "2"}}
 _TRAINING_ALTERED = {"seed": "7", "f32": "true", "kind": "second",
                      "init": "he", "batch_size": "4", "lr": "0.02",
-                     "optimizer": "sgd", "momentum": "0.5", "layernorm": "false"}
+                     "optimizer": "sgd", "layernorm": "false"}
 _ALTERED = {
+    "mnist": {**_TRAINING_ALTERED, "subset": "17", "norm": "minmax", "widths": "784,5,10",
+              "degree": "4", "epochs": "3", "max_steps": "1"},  # one step per epoch
+
     "approx": {**_TRAINING_ALTERED, "target": "step", "lo": "-1.5", "hi": "1.5",
                "n": "17", "test_n": "9", "steps": "4", "widths": "1,4,1",
                "degree": "3"},
@@ -486,32 +502,33 @@ _ALTERED = {
                 "grid": "5", "extent": "1.5", "widths": "2,5,1", "degree": "4",
                 "epochs": "3", "max_steps": "1"},  # one step per epoch at grid 4
 }
-_CONTEXT = {"momentum": {"optimizer": "sgd"}}
 
 
 @pytest.mark.parametrize("command", list(_ALTERED))
-def test_every_accepted_key_reaches_the_run(command, tmp_path):
+def test_every_accepted_key_reaches_the_run(command, tmp_path, synth_mnist_dir):
     """A key no run reads would write the base run's body."""
-    keys = {o.name for o in cli.COMMANDS[command][1]} - {"out"}
+    keys = {o.name for o in cli.COMMANDS[command][1]} - {"out", "data_dir"}
     assert keys == set(_ALTERED[command])
+    base = dict(_BASE_RUN[command])
+    if command == "mnist":
+        base["data_dir"] = str(synth_mnist_dir)
 
     def run_body(entries, flags=()):
         cfg = tmp_path / "k.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n"
-                               for k, v in {**_BASE_RUN[command], **entries}.items()))
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **entries}.items()))
         out = tmp_path / "k.csv"
         argv = [command, "--config", str(cfg), *flags, "--out", str(out)]
         assert run(argv) == 0, argv
         return [body(p) for p in cli._outputs(command, str(out))]
 
+    base_body = run_body({})
     for key in sorted(keys):
-        context = _CONTEXT.get(key, {})
         value = _ALTERED[command][key]
-        by_config = run_body({**context, key: value})
-        assert by_config != run_body(context), key
+        by_config = run_body({key: value})
+        assert by_config != base_body, key
         flag = key.replace("_", "-")
         as_flag = {"true": f"--{flag}", "false": f"--no-{flag}"}.get(value, f"--{flag}={value}")
-        assert run_body(context, [as_flag]) == by_config, as_flag
+        assert run_body({}, [as_flag]) == by_config, as_flag
 
 
 # one run of each command, small

@@ -127,6 +127,30 @@ def test_eval_forward_is_bit_identical_whatever_the_worker_count(eight_cpus):
     assert one_cpu.stdout == got
 
 
+@pytest.mark.parametrize("cpus, openblas, omp, blocks, want", [
+    (8, "1", None, 1, 1),       # one block runs on the calling thread
+    (2, None, None, 9, 1),      # unset: OpenBLAS starts a thread per core
+    (8, None, None, 9, 1),
+    (2, "1", None, 9, 2),       # one BLAS thread frees every core
+    (8, "1", None, 5, 5),       # never more workers than blocks
+    (8, "2", None, 9, 4),
+    (8, "16", None, 9, 1),      # more BLAS threads than cores still leaves one
+    (8, None, "2", 9, 4),       # OMP_NUM_THREADS counts when OPENBLAS_NUM_THREADS is unset
+    (8, "4", "1", 9, 2),        # ... and not when it is set
+    (8, " 2 ", None, 9, 4),
+    *[(8, bad, "2", 9, 4) for bad in ("0", "-1", "x", "")],  # or invalid
+    *[(8, None, bad, 9, 1) for bad in ("0", "-1", "x", "")],
+])
+def test_eval_worker_count_leaves_blas_its_cores(monkeypatch, cpus, openblas, omp, blocks, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert layers._workers(blocks) == want
+
+
 def test_eval_pool_keeps_the_callers_error_state(eight_cpus):
     layer, x, _ = _eval_case(F, np.float64)
     layer.w[1:] = 1e306  # each degree's sum over 784 inputs overflows

@@ -96,7 +96,8 @@ def test_adam_moments_track_constant_gradient():
 def test_sgd_momentum_velocity_is_geometric():
     mu, lr, g = 0.9, 0.1, 1.0
     p = np.zeros(1)
-    opt = Sgd(lr=lr, momentum=mu)
+    opt = Sgd(lr=lr)
+    assert opt.momentum == mu
     total = 0.0
     v = 0.0
     for _ in range(10):
@@ -112,7 +113,7 @@ def test_sgd_matches_the_textbook_update_exactly(dtype):
     rng = np.random.default_rng(12)
     p = rng.normal(0.0, 1.0, 257).astype(dtype)
     ref, v = p.copy(), np.zeros_like(p)
-    opt = Sgd(lr=lr, momentum=mu)
+    opt = Sgd(lr=lr)
     for _ in range(20):
         g = rng.normal(0.0, 1.0, p.size).astype(dtype)
         opt.step(p, g)
@@ -126,7 +127,7 @@ def test_sgd_matches_the_textbook_update_exactly(dtype):
 def test_optimizer_steps_allocate_no_parameter_sized_array():
     p = np.zeros(1 << 16)
     g = np.ones_like(p)
-    for opt in (Adam(lr=0.1), Sgd(lr=0.1, momentum=0.9)):
+    for opt in (Adam(lr=0.1), Sgd(lr=0.1)):
         opt.step(p, g)  # the first step makes the state arrays
         tracemalloc.start()
         try:
@@ -137,30 +138,27 @@ def test_optimizer_steps_allocate_no_parameter_sized_array():
         assert peak < p.nbytes // 4, (type(opt).__name__, peak)
 
 
-def test_sgd_without_momentum_is_plain_descent():
-    p = np.array([1.0])
-    opt = Sgd(lr=0.5, momentum=0.0)
-    opt.step(p, np.array([2.0]))
-    np.testing.assert_allclose(p, [0.0])
-
-
 def test_optimizer_validation():
     with pytest.raises(ValueError):
         Sgd(lr=0.0)
-    with pytest.raises(ValueError):
-        Sgd(lr=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         Adam(lr=-1.0)
     for lr in (float("nan"), float("inf"), -float("inf")):
         for opt in (Adam, Sgd):
             with pytest.raises(ValueError, match="lr must be finite and > 0"):
                 opt(lr=lr)
-    for eps in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="eps must be finite and > 0"):
-            Adam(lr=0.1, eps=eps)
     opt = Adam(lr=0.1)
     with pytest.raises(ShapeError):
         opt.step(np.zeros(2), np.zeros(3))
+
+
+def test_an_optimizer_takes_only_its_learning_rate():
+    # every run steps with Kingma & Ba's Adam or with momentum-0.9 SGD, so
+    # the other settings are class constants, not constructor arguments
+    for make in (lambda: Adam(lr=0.1, eps=0.5), lambda: Adam(lr=0.1, beta1=0.5),
+                 lambda: Adam(lr=0.1, beta2=0.5), lambda: Sgd(0.1, momentum=0.5)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_optimizers_update_in_place():
@@ -182,7 +180,8 @@ def test_adam_step_is_the_textbook_update_up_to_rounding(dtype):
     rng = np.random.default_rng(11)
     p = rng.normal(0.0, 1.0, 257).astype(dtype)
     m, v = np.zeros_like(p), np.zeros_like(p)
-    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(lr=lr)
+    assert (opt.beta1, opt.beta2, opt.eps) == (b1, b2, eps)
     for t in range(1, 51):
         # gradients over 8 orders of magnitude, some exactly zero
         g = (rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.uniform(-6, 2, p.size)).astype(dtype)
@@ -197,7 +196,7 @@ def test_adam_step_is_the_textbook_update_up_to_rounding(dtype):
 
 
 def test_optimizers_reject_a_new_parameter_shape_before_changing_state():
-    for opt in (Adam(lr=0.1), Sgd(lr=0.1, momentum=0.9)):
+    for opt in (Adam(lr=0.1), Sgd(lr=0.1)):
         opt.step(np.zeros(4), np.ones(4))
         before = copy.deepcopy(vars(opt))
         p = np.zeros(1)
