@@ -91,15 +91,9 @@ class Opt:
     help: str
 
 
-def _shared_opts(out_default, f32=True):
-    opts = [
-        Opt("seed", int, 42, "base RNG seed"),
-        # fsencode rejects a name the file system's encoding cannot hold
-        Opt("out", lambda s: os.fsdecode(os.fsencode(s.strip())), out_default, "output path"),
-    ]
-    if f32:
-        opts.append(Opt("f32", _bool, False, "run in float32"))
-    return opts
+def _out(default):
+    # fsencode rejects a name the file system's encoding cannot hold
+    return Opt("out", lambda s: os.fsdecode(os.fsencode(s.strip())), default, "output path")
 
 
 _HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "learning rate",
@@ -110,7 +104,8 @@ _HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "lea
          "alpha": "noise persistence", "b": "noise amplitude", "iters": "noise iterations",
          "grid": "grid points per side", "extent": "half-width of the square domain",
          "optimizer": "adam or sgd", "layernorm": "LayerNorm between KAN layers",
-         "max_steps": "cap on optimizer steps"}
+         "max_steps": "cap on optimizer steps", "seed": "base RNG seed",
+         "f32": "build the model in float32"}
 
 
 def _opts(defaults, skip=()):
@@ -120,32 +115,31 @@ def _opts(defaults, skip=()):
             for name, d in defaults.items() if name not in skip]
 
 
-# seed and dtype are the shared --seed and --f32
-_TRAINING = {k: v for k, v in vars(TrainConfig()).items() if k not in ("seed", "dtype")}
+_TRAINING = vars(TrainConfig())
 _MNIST_DATA_OPTS = [
     Opt("data_dir", str.strip, None, "directory with the four decompressed IDX files"),
     Opt("subset", _opt_int, None, "train on the first N examples only"),
 ]
 
-MNIST_OPTS = _shared_opts("mnist_run.csv") + _MNIST_DATA_OPTS + _opts(_TRAINING)
+MNIST_OPTS = [_out("mnist_run.csv")] + _MNIST_DATA_OPTS + _opts(_TRAINING)
 
 # the function and fractal fits use raw inputs, so they take no norm; approx's
 # steps sets both epochs and max_steps
-APPROX_OPTS = (_shared_opts("approx_dump.csv") + _opts(FUNCTION_FIT)
+APPROX_OPTS = ([_out("approx_dump.csv")] + _opts(FUNCTION_FIT)
                + _opts({**_TRAINING, **FUNCTION_FIT_TRAINING},
                        skip=("epochs", "norm", "max_steps")))
 
-FRACTAL_OPTS = (_shared_opts("fractal.csv") + _opts(vars(FractalParams()), skip=("seed",))
+# FractalParams' seed is the training seed
+FRACTAL_OPTS = ([_out("fractal.csv")] + _opts(vars(FractalParams()), skip=("seed",))
                 + _opts({**_TRAINING, **FRACTAL_FIT_TRAINING}, skip=("norm",)))
 
-ABLATE_OPTS = _shared_opts("ablation.csv") + [
-    Opt("axis", _choice(*ABLATION_SWEEPS), None, "which axis to sweep"),
-] + _MNIST_DATA_OPTS + _opts(_TRAINING)
+ABLATE_OPTS = ([_out("ablation.csv"),
+                Opt("axis", _choice(*ABLATION_SWEEPS), None, "which axis to sweep")]
+               + _MNIST_DATA_OPTS + _opts(_TRAINING))
 
-GRADCHECK_OPTS = _shared_opts(None, f32=False) + [
-    Opt("trials", int, 100, "random configurations to test"),
-    Opt("h", float, 1e-40, "complex-step size"),
-]
+GRADCHECK_OPTS = [_out(None), Opt("seed", int, 42, _HELP["seed"]),
+                  Opt("trials", int, 100, "random configurations to test"),
+                  Opt("h", float, 1e-40, "complex-step size")]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +217,7 @@ def _train_config(resolved):
     """The run's TrainConfig, validated (architecture included) before any
     data is read or step taken."""
     names = {f.name for f in fields(TrainConfig)}
-    cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in names},
-                      dtype=np.float32 if resolved["f32"] else np.float64)
+    cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in names})
     cfg.validate()
     cfg.arch().validate()
     return cfg
@@ -361,10 +354,12 @@ def main(argv=None):
         code, bodies = handler(resolved)
         echo = [f"# {c}" for c in config_lines(args.command, resolved)]
         for path, lines in zip(paths, bodies):
-            # surrogateescape, so the echoed out path keeps its own bytes
-            Path(path).write_text("\n".join(echo + lines + [_blas_threads_line()]) + "\n",
-                                  encoding="utf-8",
-                                  errors="surrogateescape")
+            try:
+                # surrogateescape, so the echoed out path keeps its own bytes
+                Path(path).write_text("\n".join(echo + lines + [_blas_threads_line()]) + "\n",
+                                      encoding="utf-8", errors="surrogateescape")
+            except OSError as e:  # a full disk, say, which _outputs cannot foresee
+                raise ValueError(f"cannot write {path}: {e}")
         if paths:
             print(f"wrote {' and '.join(paths)}")
         return code

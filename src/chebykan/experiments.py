@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network
 from .chebyshev import PolyKind, _basis_stack
-from .data import Dataset, NormScheme, apply_norm, fractal_grid, sample_function
+from .data import NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
 from .ndcore import Rng, check_seed
 from .network import ArchSpec, build
@@ -62,7 +62,7 @@ class TrainConfig:
     widths: list = field(default_factory=lambda: list(network.MNIST_WIDTHS))
     layernorm: bool = True
     max_steps: int = None  # optional hard cap on optimizer steps
-    dtype: type = np.float64  # model precision, passed to network.build
+    f32: bool = False  # build the model in float32, else float64
 
     def validate(self):
         """Reject schedule values no run can use; each message names the
@@ -83,8 +83,9 @@ class TrainConfig:
         return Adam(self.lr) if self.optimizer == "adam" else Sgd(self.lr)
 
     def build_model(self):
-        """A fresh model of this spec, init and dtype from the (seed, "init") substream."""
-        return build(self.arch(), self.init, Rng(self.seed, "init"), self.dtype)
+        """A fresh model of this spec and precision, init from the (seed, "init") substream."""
+        return build(self.arch(), self.init, Rng(self.seed, "init"),
+                     np.float32 if self.f32 else np.float64)
 
     def arch(self):
         return ArchSpec(widths=list(self.widths), degree=self.degree,
@@ -400,7 +401,7 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
         rec = run_classifier(cfg, train_raw, test_raw)
         wall = rec.wall_time_s
         if axis == "kind":
-            func_cfg = TrainConfig(seed=cfg.seed, kind=cfg.kind, dtype=cfg.dtype,
+            func_cfg = TrainConfig(seed=cfg.seed, kind=cfg.kind, f32=cfg.f32,
                                    **FUNCTION_FIT_TRAINING)
             func_rec = fit_function(func_cfg, "kind-function", **FUNCTION_FIT)[0]
             test_loss = func_rec.final_metric

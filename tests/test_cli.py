@@ -128,6 +128,17 @@ def test_unwritable_out_exits_1_before_any_work(tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_exits_1_naming_the_file(capsys):
+    # /dev/full opens but fails every write, which _outputs cannot foresee
+    argv = ["approx", "--steps", "5", "--n", "16", "--test-n", "8", "--out", "/dev/full"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "final test MSE" in captured.out and "wrote" not in captured.out
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+    assert "No space left on device" in captured.err
+
+
 def test_missing_data_exits_2(tmp_path):
     assert run(["mnist", "--data-dir", str(tmp_path / "nowhere")]) == 2
 

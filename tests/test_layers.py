@@ -72,6 +72,20 @@ def test_forward_shape_and_einsum_equivalence():
             np.testing.assert_array_equal(got, want, err_msg=f"{case}, batch {batch}")
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
+    # T_1(t) = t, so the layer is a linear layer on tanh of its input with
+    # w[0].sum(0) as its bias: the tanh-MLP baseline needs no layer of its own
+    layer = _filled_layer(784, 32, 1, F, dtype=dtype)
+    x = Rng(4, "x").uniform(-2.0, 2.0, (64, 784)).astype(dtype)
+    want = np.tanh(x) @ layer.w[1] + layer.w[0].sum(0)
+    for training in (True, False):
+        layer.training = training
+        y = layer.forward(x)
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=0, err_msg=f"training={training}")
+
+
 @pytest.fixture
 def eight_cpus(monkeypatch):
     """An eval forward of several blocks runs on up to eight threads: the

@@ -134,6 +134,23 @@ def test_per_layer_substreams_are_stable():
     np.testing.assert_array_equal(a.layers[0].coeffs, b.layers[0].coeffs)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", [F, S])
+@pytest.mark.parametrize("widths", [[1, 8, 1], [2, 64, 64, 1], [784, 32, 16, 10]])
+def test_zero_degree_slabs_change_no_training_forward(widths, kind, dtype):
+    # a degree-2 model padded to degree 4 with zero slabs w[3:] adds exact
+    # zeros to each sum. The eval forward holds no such bound: its row
+    # block shrinks with the degree, and BLAS may sum another block in
+    # another order (2.4e-15 apart at 784 inputs over 1,500 rows in float64)
+    small, big = (build(ArchSpec(widths, degree, kind), InitMethod.LECUN, Rng(5, "t"), dtype)
+                  for degree in (2, 4))
+    for a, b in zip(small.params(), big.params()):
+        b[...] = 0
+        b[:len(a)] = a  # w is degree-major, so its first slabs are degrees 0-2
+    x = Rng(5, "x").uniform(-2.0, 2.0, (64, widths[0]))
+    np.testing.assert_array_equal(big.forward(x), small.forward(x))
+
+
 def test_save_load_round_trip(tmp_path):
     spec = ArchSpec([4, 6, 3], 3, S, layernorm_between=True)
     model = build(spec, InitMethod.HE, Rng(3, "t"))
@@ -254,6 +271,11 @@ def test_dtype_is_fixed_at_build():
         assert np.isfinite(model.flat_grads).all()  # every gradient written in place
     default = build(spec, InitMethod.LECUN, Rng(2, "t"))
     assert default.flat_params.dtype == np.float64
+    # a run's precision is TrainConfig's f32 switch, float64 unless set
+    assert TrainConfig(f32=True).build_model().flat_params.dtype == np.float32
+    assert TrainConfig().build_model().flat_params.dtype == np.float64
+    with pytest.raises(TypeError):
+        TrainConfig(dtype=np.float32)
 
 
 def test_build_rejects_non_float_dtype():
