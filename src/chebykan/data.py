@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ndcore
+from .layers import EVAL_BASIS_BYTES
 from .ndcore import Rng
 
 IMAGES_MAGIC = 0x00000803
@@ -113,8 +115,10 @@ def write_idx(path, arr):
     Path(path).write_bytes(idx_header_bytes(magic, arr.shape) + arr.tobytes())
 
 
-def load_mnist_idx(images_path, labels_path):
-    """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10)."""
+def load_mnist_idx(images_path, labels_path, subset=None):
+    """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10).
+    Both files are checked whole, but only the first `subset` examples (all,
+    when None) are converted, so the rest hold no memory once it returns."""
     images = read_idx(images_path, IMAGES_MAGIC)
     labels = read_idx(labels_path, LABELS_MAGIC)
     if images.shape[0] == 0:
@@ -123,11 +127,12 @@ def load_mnist_idx(images_path, labels_path):
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    labs = labels.astype(np.int64)
-    if labs.size and labs.max() > 9:
-        raise IdxFormatError(f"{labels_path}: label {labs.max()} outside [0, 10)")
-    return Dataset(features=feats, labels=labs)
+    if labels.max() > 9:
+        raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, 10)")
+    kept = images[:subset]
+    # one pass: each byte widens to float64 inside the divide's loop
+    feats = np.divide(kept.reshape(len(kept), -1), 255.0, dtype=np.float64)
+    return Dataset(features=feats, labels=labels[:subset].astype(np.int64))
 
 
 def load_mnist(data_dir=None, subset=None):
@@ -142,8 +147,7 @@ def load_mnist(data_dir=None, subset=None):
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         raise FileNotFoundError("missing MNIST files: " + ", ".join(missing))
-    train, test = load_mnist_idx(*paths[:2]), load_mnist_idx(*paths[2:])
-    return Dataset(features=train.features[:subset], labels=train.labels[:subset]), test
+    return load_mnist_idx(*paths[:2], subset), load_mnist_idx(*paths[2:])
 
 
 def apply_norm(ds, scheme, stats=None):
@@ -153,13 +157,27 @@ def apply_norm(ds, scheme, stats=None):
     the training split's fitted stats to transform a test split identically.
     Min-max maps the fitted [min, max] of each feature onto [-1, 1] (constant
     features map to 0); standardize uses (x - mean)/(std + 1e-8); tanh needs
-    no statistics.
+    no statistics. Tanh fills one float64 array in row blocks of at most
+    EVAL_BASIS_BYTES of output (one row, if a row is bigger), which up to
+    ndcore.mask_cpus() threads take from one shared iterator: it makes no
+    BLAS call, so it uses every CPU in the mask. Each block is np.tanh of the
+    same rows, so the output is np.tanh(features).astype(np.float64), bit
+    for bit, on any number of cores.
     """
     f = ds.features
     if stats is not None and stats.scheme is not scheme:
         raise ValueError(f"stats were fitted for {stats.scheme}, not {scheme}")
     if scheme is NormScheme.TANH:
-        out = np.tanh(f)
+        out = np.empty(f.shape)
+        rows = max(1, EVAL_BASIS_BYTES // max(1, math.prod(f.shape[1:]) * out.itemsize))
+        starts = range(0, len(f), rows)
+        shared = iter(starts)  # each next() is one call under the GIL
+
+        def fill(_):
+            for start in shared:
+                np.tanh(f[start:start + rows], out=out[start:start + rows])
+
+        ndcore.on_workers(fill, [None] * max(1, min(len(starts), ndcore.mask_cpus())))
         stats = stats or NormStats(scheme=scheme)
     elif scheme is NormScheme.MINMAX:
         if stats is None:

@@ -16,7 +16,6 @@ and gradients keep the parameters' precision.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from enum import Enum
 
 import numpy as np
@@ -39,23 +38,16 @@ from .chebyshev import PolyKind, _fill_basis
 EVAL_BASIS_BYTES = 1 << 20
 
 
-# one pool per process, keyed by its pid: a forked child inherits the
-# parent's executor object but none of its threads, so it makes its own
-_pool = {}
-
-
 def _workers(blocks):
     """How many threads run an eval forward's `blocks` row blocks: one per
     core that BLAS leaves free, W = min(blocks, max(1, cpus // blas_threads)).
-    `cpus` counts the cores this process may run on; `blas_threads` is
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, if set to a positive int,
-    else `cpus`, since OpenBLAS then starts a thread per core itself."""
+    `cpus` is ndcore.mask_cpus(), the cores this process may run on;
+    `blas_threads` is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, if set to a
+    positive int, else `cpus`, since OpenBLAS then starts a thread per core
+    itself."""
     if blocks < 2:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
+    cpus = ndcore.mask_cpus()
     blas_threads = cpus
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
@@ -63,39 +55,6 @@ def _workers(blocks):
             blas_threads = int(value)
             break
     return min(blocks, max(1, cpus // blas_threads))
-
-
-def _on_workers(task, states):
-    """Run task(state) once per state: the first on the calling thread, the
-    rest on the process's pool, each under the caller's numpy error state,
-    which new threads do not inherit. A pool call that has not started when
-    the caller's own call ends is cancelled, not waited for: the task must
-    leave it nothing to do by then. Returns once every started call has
-    ended, raising the first exception any of them raised. One state makes
-    no pool."""
-    if len(states) == 1:
-        task(states[0])
-        return
-    pid = os.getpid()
-    if pid not in _pool:
-        _pool.clear()
-        _pool[pid] = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="chebykan")
-    err, call = np.geterr(), np.geterrcall()
-
-    def under_caller_errstate(state):
-        with np.errstate(call=call, **err):
-            task(state)
-
-    futures = [_pool[pid].submit(under_caller_errstate, s) for s in states[1:]]
-    try:
-        task(states[0])
-    finally:
-        # waiting on a pool thread that has yet to wake, for no work, would
-        # add its wake-up latency to the call
-        started = [f for f in futures if not f.cancel()]
-        wait(started)  # no pool thread still writes the caller's arrays
-    for f in started:
-        f.result()
 
 
 class InitMethod(Enum):
@@ -193,7 +152,7 @@ class ChebyKanLayer:
                 p = np.matmul(t, self.w[1:], out=part[:, :len(xb)])
                 np.sum(p, axis=0, out=y[start:start + rows])
 
-        _on_workers(fill, stacks)
+        ndcore.on_workers(fill, stacks)
         y += self.w[0].sum(axis=0)  # P_0 = 1, so its terms act only through their sum
         self._cache = stacks[0][0] if self.training else None
         return y

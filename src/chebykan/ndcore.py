@@ -1,13 +1,22 @@
-"""Dense numerics substrate: a shape-checking coercion and a seeded RNG.
+"""Dense numerics substrate: a shape-checking coercion, a seeded RNG and the
+process's worker threads.
 
 Arrays are plain numpy ndarrays (row-major, real dtype); the helpers here pin
 down layout and the reproducibility contract the rest of the package relies
 on. Data and random draws are float64. A layer's precision, float32 or
 float64 (``check_dtype``), is fixed when it is built, and it coerces its
 inputs to it; float32 is not suitable for gradient checking.
+
+``on_workers`` runs a task on the calling thread and on one thread pool per
+process. Its two users, the eval-mode KAN forward and the tanh input
+normalization, cut their rows into fixed blocks and let each worker take
+blocks from one shared iterator, writing only those blocks' rows, so how many
+workers run (at most ``mask_cpus()``) never changes an output bit.
 """
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -86,3 +95,50 @@ class Rng:
     def integers(self, low, high):
         """One int drawn uniformly from [low, high)."""
         return int(self._gen.integers(low, high))
+
+
+# one pool per process, keyed by its pid: a forked child inherits the
+# parent's executor object but none of its threads, so it makes its own
+_pool = {}
+
+
+def mask_cpus():
+    """How many CPUs this process may run on: the size of its CPU affinity
+    mask, or os.cpu_count() on a platform that has none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def on_workers(task, states):
+    """Run task(state) once per state: the first on the calling thread, the
+    rest on the process's pool, each under the caller's numpy error state,
+    which new threads do not inherit. A pool call that has not started when
+    the caller's own call ends is cancelled, not waited for: the task must
+    leave it nothing to do by then. Returns once every started call has
+    ended, raising the first exception any of them raised. One state makes
+    no pool."""
+    if len(states) == 1:
+        task(states[0])
+        return
+    pid = os.getpid()
+    if pid not in _pool:
+        _pool.clear()
+        _pool[pid] = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="chebykan")
+    err, call = np.geterr(), np.geterrcall()
+
+    def under_caller_errstate(state):
+        with np.errstate(call=call, **err):
+            task(state)
+
+    futures = [_pool[pid].submit(under_caller_errstate, s) for s in states[1:]]
+    try:
+        task(states[0])
+    finally:
+        # waiting on a pool thread that has yet to wake, for no work, would
+        # add its wake-up latency to the call
+        started = [f for f in futures if not f.cancel()]
+        wait(started)  # no pool thread still writes the caller's arrays
+    for f in started:
+        f.result()

@@ -1,11 +1,17 @@
+import os
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, Dataset, FractalParams,
-                           IdxFormatError, NormScheme, apply_norm, fractal_grid,
-                           fractal_seed, grid_lines, idx_header_bytes,
-                           load_mnist_idx, read_idx, sample_function,
-                           write_idx)
+from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS, Dataset,
+                           FractalParams, IdxFormatError, NormScheme,
+                           apply_norm, fractal_grid, fractal_seed, grid_lines,
+                           idx_header_bytes, load_mnist, load_mnist_idx,
+                           read_idx, sample_function, write_idx)
+from chebykan.layers import EVAL_BASIS_BYTES
 from chebykan.ndcore import Rng
 
 
@@ -69,6 +75,56 @@ def test_load_mnist_idx_scales_and_checks(tmp_path):
     write_idx(tmp_path / "l3", np.array([0, 1, 12], dtype=np.uint8))
     with pytest.raises(IdxFormatError):
         load_mnist_idx(tmp_path / "i", tmp_path / "l3")
+
+
+def test_load_mnist_idx_maps_every_byte_value_exactly(tmp_path):
+    write_idx(tmp_path / "i", np.arange(256, dtype=np.uint8).reshape(4, 8, 8))
+    write_idx(tmp_path / "l", np.zeros(4, dtype=np.uint8))
+    feats = load_mnist_idx(tmp_path / "i", tmp_path / "l").features
+    assert feats.dtype == np.float64 and feats.flags.c_contiguous
+    np.testing.assert_array_equal(feats.ravel(), np.arange(256) / 255.0)
+
+
+def test_load_mnist_subset_converts_only_the_kept_rows(synth_mnist_dir, tmp_path):
+    full, full_test = load_mnist(synth_mnist_dir)
+    train, test = load_mnist(synth_mnist_dir, subset=5)
+    # not a view of all 600 converted rows, which would stay alive with it
+    assert train.features.shape == (5, 784) and train.features.base is None
+    assert train.labels.shape == (5,) and train.labels.base is None
+    assert train.features.tobytes() == full.features[:5].tobytes()
+    np.testing.assert_array_equal(train.labels, full.labels[:5])
+    assert test.features.tobytes() == full_test.features.tobytes()
+    # rows past the subset are still checked
+    shutil.copytree(synth_mnist_dir, tmp_path, dirs_exist_ok=True)
+    labels = full.labels.astype(np.uint8)
+    labels[-1] = 10
+    write_idx(tmp_path / TRAIN_LABELS, labels)
+    with pytest.raises(IdxFormatError, match="label 10"):
+        load_mnist(tmp_path, subset=5)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+def test_tanh_norm_is_bit_identical_whatever_the_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    block = EVAL_BASIS_BYTES // (784 * 8)
+    x = Rng(3, "tanh").uniform(-4.0, 4.0, (5 * block + 37, 784))
+    cases = [x[:n].astype(dtype) for dtype in (np.float64, np.float32)
+             for n in (0, 1, 7, len(x))]
+    cases += [(np.abs(x) * 64).astype(np.uint8), x[:, 3:700:2]]  # a column-sliced view
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the shared block iterator over often
+    try:
+        for f in cases:
+            before = f.copy()
+            got = apply_norm(Dataset(features=f), NormScheme.TANH).features
+            want = np.tanh(f).astype(np.float64, copy=False)
+            assert got.dtype == np.float64 and got.shape == f.shape, f.dtype
+            assert got.tobytes() == want.tobytes(), (f.dtype, f.shape)
+            assert f.tobytes() == before.tobytes(), "the input was modified"
+    finally:
+        sys.setswitchinterval(old)
+    if cpus > 1:
+        assert any(t.name.startswith("chebykan") for t in threading.enumerate())
 
 
 def test_minmax_norm_maps_to_unit_interval():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chebykan
-from chebykan import layers
+from chebykan import layers, ndcore
 from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
 from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from chebykan.ndcore import Rng, ShapeError
@@ -196,7 +196,7 @@ def test_eval_pool_raises_a_workers_exception_in_the_caller(eight_cpus, monkeypa
 def test_eval_forward_does_not_wait_for_a_pool_thread_that_never_started(eight_cpus):
     layer, x, _ = _eval_case(S, np.float64)
     want = layer.forward(x)  # the pool exists now
-    pool = layers._pool[os.getpid()]
+    pool = ndcore._pool[os.getpid()]
     release = threading.Event()
     # every pool thread is busy until release, so the forward's pool calls
     # stay queued; a forward that waited for them would return only after it
