@@ -16,8 +16,9 @@ over j:
     y[b, o] = sum_i w[0, i, o] + sum_{j>=1} sum_i T[j-1, b, i] * w[j, i, o]
 
 One loop does this a block of rows at a time: in eval mode a block holds at
-most EVAL_BASIS_BYTES of basis, in training mode it is the whole batch, whose
-basis backward reads. Below, the same contraction is spelled out by hand on
+most ndcore.BLOCK_BYTES of basis, and the blocks spread over every core in
+the CPU mask; in training mode it is the whole batch, whose basis backward
+reads. Below, the same contraction is spelled out by hand on
 a [batch, in, degree+1] basis built one value at a time, against C.
 
 Backward is hand-derived, so here we audit it: one entry against a finite

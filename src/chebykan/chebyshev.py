@@ -25,6 +25,15 @@ class PolyKind(Enum):
     SECOND = "second"
 
 
+def check_kind(kind):
+    """``kind``, or ValueError unless it is a PolyKind member: code tests it
+    for a member by identity, so a string such as "second" would pass as
+    neither kind."""
+    if not isinstance(kind, PolyKind):
+        raise ValueError(f"kind must be a PolyKind, got {kind!r}")
+    return kind
+
+
 def _basis_stack(x, degree, kind):
     """P_0..P_degree of every element of x, stacked along a new leading axis:
     out[k] is P_k, shaped like x, so a [batch, in] input gives
@@ -59,7 +68,7 @@ def eval_basis(x, degree, kind=PolyKind.FIRST):
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return _basis_stack([float(x)], degree, kind)[:, 0]
+    return _basis_stack([float(x)], degree, check_kind(kind))[:, 0]
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
@@ -70,7 +79,7 @@ def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
     (second kind). It stays finite at x = +/-1, where the closed forms have a
     1/(1 - x^2) singularity.
     """
-    p = eval_basis(x, degree, kind)  # checks degree and x
+    p = eval_basis(x, degree, kind)  # checks degree, kind and x
     x = float(x)
     out = np.zeros(degree + 1)
     if degree >= 1:
@@ -106,7 +115,7 @@ def gauss_chebyshev(nodes, kind=PolyKind.FIRST):
     """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
-    if kind is PolyKind.FIRST:
+    if check_kind(kind) is PolyKind.FIRST:
         k = np.arange(nodes, dtype=np.float64)
         x = np.cos((2.0 * k + 1.0) * np.pi / (2.0 * nodes))
         w = np.full(nodes, np.pi / nodes)

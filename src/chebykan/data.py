@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import ndcore
-from .layers import EVAL_BASIS_BYTES
 from .ndcore import Rng
 
 IMAGES_MAGIC = 0x00000803
@@ -115,10 +114,17 @@ def write_idx(path, arr):
     Path(path).write_bytes(idx_header_bytes(magic, arr.shape) + arr.tobytes())
 
 
+def _check_subset(subset):
+    if subset is not None and subset < 1:
+        raise ValueError(f"subset must be >= 1, got {subset}")
+
+
 def load_mnist_idx(images_path, labels_path, subset=None):
     """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10).
     Both files are checked whole, but only the first `subset` examples (all,
-    when None) are converted, so the rest hold no memory once it returns."""
+    when None) are converted, so the rest hold no memory once it returns. A
+    subset below 1 raises ValueError before either file is read."""
+    _check_subset(subset)
     images = read_idx(images_path, IMAGES_MAGIC)
     labels = read_idx(labels_path, LABELS_MAGIC)
     if images.shape[0] == 0:
@@ -140,8 +146,7 @@ def load_mnist(data_dir=None, subset=None):
     ($CHEBYKAN_MNIST_DIR when None, else ./data/mnist), the train split cut
     to its first `subset` examples. A subset below 1 raises ValueError before
     any file is read; FileNotFoundError names every missing file."""
-    if subset is not None and subset < 1:
-        raise ValueError(f"subset must be >= 1, got {subset}")
+    _check_subset(subset)
     d = Path(os.environ.get("CHEBYKAN_MNIST_DIR", "data/mnist") if data_dir is None else data_dir)
     paths = [d / name for name in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)]
     missing = [str(p) for p in paths if not p.is_file()]
@@ -158,9 +163,8 @@ def apply_norm(ds, scheme, stats=None):
     Min-max maps the fitted [min, max] of each feature onto [-1, 1] (constant
     features map to 0); standardize uses (x - mean)/(std + 1e-8); tanh needs
     no statistics. Tanh fills one float64 array in row blocks of at most
-    EVAL_BASIS_BYTES of output (one row, if a row is bigger), which up to
-    ndcore.mask_cpus() threads take from one shared iterator: it makes no
-    BLAS call, so it uses every CPU in the mask. Each block is np.tanh of the
+    ndcore.BLOCK_BYTES of output (one row, if a row is bigger), on every CPU
+    in the mask (``ndcore.for_row_blocks``). Each block is np.tanh of the
     same rows, so the output is np.tanh(features).astype(np.float64), bit
     for bit, on any number of cores.
     """
@@ -169,15 +173,8 @@ def apply_norm(ds, scheme, stats=None):
         raise ValueError(f"stats were fitted for {stats.scheme}, not {scheme}")
     if scheme is NormScheme.TANH:
         out = np.empty(f.shape)
-        rows = max(1, EVAL_BASIS_BYTES // max(1, math.prod(f.shape[1:]) * out.itemsize))
-        starts = range(0, len(f), rows)
-        shared = iter(starts)  # each next() is one call under the GIL
-
-        def fill(_):
-            for start in shared:
-                np.tanh(f[start:start + rows], out=out[start:start + rows])
-
-        ndcore.on_workers(fill, [None] * max(1, min(len(starts), ndcore.mask_cpus())))
+        rows = max(1, ndcore.BLOCK_BYTES // max(1, math.prod(f.shape[1:]) * out.itemsize))
+        ndcore.for_row_blocks(lambda _, lo, hi: np.tanh(f[lo:hi], out=out[lo:hi]), len(f), rows)
         stats = stats or NormStats(scheme=scheme)
     elif scheme is NormScheme.MINMAX:
         if stats is None:

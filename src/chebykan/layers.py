@@ -15,46 +15,12 @@ and gradients keep the parameters' precision.
 """
 
 import math
-import os
 from enum import Enum
 
 import numpy as np
 
 from . import ndcore
-from .chebyshev import PolyKind, _fill_basis
-
-
-# The most basis stack, in bytes, that one worker of an eval-mode
-# ChebyKanLayer.forward holds at once, unless one row's basis is bigger: one
-# buffer, which every row block the worker takes reuses, so a large batch does
-# not grow the working set. On 2 vCPUs (2 MiB of L2 each) with one OpenBLAS
-# thread and one worker, the eval forward of a [784, 32, 16, 10] model over
-# 1,024 rows, swept over 1, 2, 4, 8, 16 and 32 MiB three times, was fastest at
-# 1 MiB in every sweep: 8-14% ahead of 4 MiB at degree 5 (second kind), 3-23%
-# at degree 3 (first kind). A 1 MiB stack stays in L2 beside the layer's
-# coefficients; it is 33 rows at that width and degree 5. The size fixes the
-# block boundaries, so it is part of the output's bits: the worker count is not
-# (see _workers).
-EVAL_BASIS_BYTES = 1 << 20
-
-
-def _workers(blocks):
-    """How many threads run an eval forward's `blocks` row blocks: one per
-    core that BLAS leaves free, W = min(blocks, max(1, cpus // blas_threads)).
-    `cpus` is ndcore.mask_cpus(), the cores this process may run on;
-    `blas_threads` is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, if set to a
-    positive int, else `cpus`, since OpenBLAS then starts a thread per core
-    itself."""
-    if blocks < 2:
-        return 1
-    cpus = ndcore.mask_cpus()
-    blas_threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return min(blocks, max(1, cpus // blas_threads))
+from .chebyshev import PolyKind, _fill_basis, check_kind
 
 
 class InitMethod(Enum):
@@ -89,18 +55,16 @@ class ChebyKanLayer:
     degree partial sums are added; the tests pin it against a brute force
     triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
     ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
-    ``forward`` builds and contracts the stack a block of rows at a time. In
-    eval mode a block holds at most EVAL_BASIS_BYTES of basis, or one row if
-    that row's is bigger (1.2 MB at degree 5 and 30,000 float64 inputs), so
-    the working set does not grow with the batch size, where the whole stack
-    at degree 5 is five times the input's size. Up to
-    W = min(blocks, max(1, cpus // blas_threads)) threads, the calling thread
-    among them, take the blocks from one shared iterator, each with its own
-    EVAL_BASIS_BYTES stack (see ``_workers`` for ``cpus`` and
-    ``blas_threads``). Each block runs the one-thread loop's ops and writes
-    only its own rows of the output, so W changes no bit of it. In training
-    mode the block is the whole batch, because backward reads the whole
-    stack, and it runs on the calling thread.
+    ``forward`` builds and contracts the stack a block of rows at a time, by
+    ``ndcore.for_row_blocks``. In eval mode a block holds at most
+    ``ndcore.BLOCK_BYTES`` of basis, or one row if that row's is bigger
+    (1.2 MB at degree 5 and 30,000 float64 inputs), so the working set does
+    not grow with the batch size, where the whole stack at degree 5 is five
+    times the input's size. Each worker has its own stack; each block runs
+    the one-thread loop's ops and writes only its own rows of the output, so
+    the worker count changes no bit of it. In training mode the block is the
+    whole batch, because backward reads the whole stack, and it runs on the
+    calling thread.
 
     The input gradient reads the cached basis and the current ``w``. With
     xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -122,7 +86,7 @@ class ChebyKanLayer:
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.degree = degree
-        self.kind = kind
+        self.kind = check_kind(kind)
         self.w = np.zeros((degree + 1, input_dim, output_dim), dtype=ndcore.check_dtype(dtype))
         self.grad_w = np.zeros_like(self.w)
         self.training = True
@@ -132,27 +96,24 @@ class ChebyKanLayer:
         x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
         n = self.degree
         y = np.empty((len(x), self.output_dim), dtype=x.dtype)
-        block = EVAL_BASIS_BYTES // (max(1, n) * self.input_dim * x.itemsize)
+        block = ndcore.BLOCK_BYTES // (max(1, n) * self.input_dim * x.itemsize)
         rows = max(1, len(x) if self.training else block)
-        starts = range(0, max(1, len(x)), rows)  # a 0-row batch is one empty block
         shape = (n, min(rows, len(x)))
-        stacks = [(np.empty(shape + (self.input_dim,), dtype=x.dtype),
-                   np.empty(shape + (self.output_dim,), dtype=x.dtype))
-                  for _ in range(_workers(len(starts)))]
-        shared = iter(starts)  # each next() is one call under the GIL
 
-        def fill(stack):
+        def stack():
+            return (np.empty(shape + (self.input_dim,), dtype=x.dtype),
+                    np.empty(shape + (self.output_dim,), dtype=x.dtype))
+
+        def fill(stack, lo, hi):
             buf, part = stack
-            for start in shared:
-                xb = x[start:start + rows]
-                t = buf[:, :len(xb)]
-                if n:
-                    np.tanh(xb, out=t[0])
-                    _fill_basis(t, self.kind)
-                p = np.matmul(t, self.w[1:], out=part[:, :len(xb)])
-                np.sum(p, axis=0, out=y[start:start + rows])
+            t = buf[:, :hi - lo]
+            if n:
+                np.tanh(x[lo:hi], out=t[0])
+                _fill_basis(t, self.kind)
+            p = np.matmul(t, self.w[1:], out=part[:, :hi - lo])
+            np.sum(p, axis=0, out=y[lo:hi])
 
-        ndcore.on_workers(fill, stacks)
+        stacks = ndcore.for_row_blocks(fill, len(x), rows, stack)
         y += self.w[0].sum(axis=0)  # P_0 = 1, so its terms act only through their sum
         self._cache = stacks[0][0] if self.training else None
         return y

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import PolyKind
+from .chebyshev import PolyKind, check_kind
 from .layers import ChebyKanLayer, LayerNorm, init_coeffs
 
 MNIST_WIDTHS = [784, 32, 16, 10]
@@ -37,6 +37,7 @@ class ArchSpec:
             raise ValueError(f"all widths must be >= 1, got {self.widths}")
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
+        check_kind(self.kind)
 
     def arch_string(self):
         w = ",".join(str(int(v)) for v in self.widths)

@@ -172,3 +172,15 @@ def test_input_validation():
         extrema(0)
     with pytest.raises(ValueError):
         gauss_chebyshev(0, F)
+
+
+def test_a_kind_that_is_not_a_polykind_is_rejected():
+    # each function tests for one member by identity, so "second" would
+    # evaluate first-kind values and differentiate neither kind's
+    for kind in ("second", "first", "bogus", None, 1):
+        for call in (lambda: eval_basis(0.5, 3, kind),
+                     lambda: eval_basis_derivative(0.5, 3, kind),
+                     lambda: gauss_chebyshev(4, kind),
+                     lambda: orthogonality_integral(1, 2, kind)):
+            with pytest.raises(ValueError, match="kind"):
+                call()

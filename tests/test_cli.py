@@ -65,6 +65,8 @@ def test_usage_errors_exit_1(tmp_path, synth_mnist_dir, capsys):
         (["approx", "--seed", "-1"], "seed"),
         (["gradcheck", "--seed", "-1"], "seed"),
         (["mnist", "--seed", "-1", "--data-dir", str(tmp_path / "nowhere")], "seed"),
+        (["mnist", "--subset", "0", "--data-dir", str(tmp_path / "nowhere")], "subset"),
+        (["mnist", "--subset", "-1", "--data-dir", str(tmp_path / "nowhere")], "subset"),
         (["gradcheck", "--trials", "0"], "trials"),
         (["gradcheck", "--trials", "-1"], "trials"),
         (["approx", "--widths", "2,8,1"], "widths"),

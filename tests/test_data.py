@@ -6,13 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS, Dataset,
-                           FractalParams, IdxFormatError, NormScheme,
+from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_IMAGES, TRAIN_LABELS,
+                           Dataset, FractalParams, IdxFormatError, NormScheme,
                            apply_norm, fractal_grid, fractal_seed, grid_lines,
                            idx_header_bytes, load_mnist, load_mnist_idx,
                            read_idx, sample_function, write_idx)
-from chebykan.layers import EVAL_BASIS_BYTES
-from chebykan.ndcore import Rng
+from chebykan.ndcore import BLOCK_BYTES, Rng
 
 
 def test_idx_round_trip(tmp_path):
@@ -103,10 +102,22 @@ def test_load_mnist_subset_converts_only_the_kept_rows(synth_mnist_dir, tmp_path
         load_mnist(tmp_path, subset=5)
 
 
+@pytest.mark.parametrize("subset", [0, -5])
+def test_a_subset_below_one_is_rejected_before_any_file_is_read(synth_mnist_dir, tmp_path, subset):
+    # -5 would keep all but the last 5 rows, and 0 no row at all
+    message = f"subset must be >= 1, got {subset}"
+    paths = (synth_mnist_dir / TRAIN_IMAGES, synth_mnist_dir / TRAIN_LABELS)
+    for images, labels in (paths, (tmp_path / "nowhere", tmp_path / "nothing")):
+        with pytest.raises(ValueError, match=message):
+            load_mnist_idx(images, labels, subset)
+    with pytest.raises(ValueError, match=message):
+        load_mnist(tmp_path / "nowhere", subset)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
 def test_tanh_norm_is_bit_identical_whatever_the_cpu_count(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    block = EVAL_BASIS_BYTES // (784 * 8)
+    block = BLOCK_BYTES // (784 * 8)
     x = Rng(3, "tanh").uniform(-4.0, 4.0, (5 * block + 37, 784))
     cases = [x[:n].astype(dtype) for dtype in (np.float64, np.float32)
              for n in (0, 1, 7, len(x))]

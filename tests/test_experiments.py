@@ -8,8 +8,8 @@ from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
                                   AblationRow, DivergenceError, EpochRow, RunRecord,
                                   TrainConfig, ablation_csv_lines, evaluate,
                                   grad_check, run_ablation, train)
-from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod
-from chebykan.ndcore import Rng, ShapeError
+from chebykan.layers import ChebyKanLayer, InitMethod
+from chebykan.ndcore import BLOCK_BYTES, Rng, ShapeError
 from chebykan.network import ArchSpec, build, mnist_arch, param_count
 from chebykan.optim import mse_loss, softmax_cross_entropy
 from chebykan.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS
@@ -31,7 +31,7 @@ def test_eval_forward_of_the_mnist_model_matches_the_einsum_oracle():
     # blocks and a ragged tail, the oracle one einsum over the whole batch;
     # the error is relative to the largest logit, as in the benchmark's check
     model = build(mnist_arch(5, PolyKind.SECOND), InitMethod.XAVIER, Rng(0, "init")).eval()
-    rows = EVAL_BASIS_BYTES // (5 * 784 * 8)
+    rows = BLOCK_BYTES // (5 * 784 * 8)
     x = Rng(1, "x").uniform(-2.0, 2.0, (2 * rows + 37, 784))
     got = model.forward(x)
     want = experiments._einsum_forward(model, x, model.flat_params)

@@ -13,8 +13,8 @@ import pytest
 import chebykan
 from chebykan import layers, ndcore
 from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
-from chebykan.layers import EVAL_BASIS_BYTES, ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
-from chebykan.ndcore import Rng, ShapeError
+from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
+from chebykan.ndcore import BLOCK_BYTES, Rng, ShapeError
 from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -44,7 +44,7 @@ def test_forward_shape_and_einsum_equivalence():
         # several blocks and a ragged tail, and an empty batch, match the
         # training forward
         layer = _filled_layer(784, 4, degree, kind, dtype=dtype)
-        rows = EVAL_BASIS_BYTES // (784 * max(1, degree) * np.dtype(dtype).itemsize)
+        rows = BLOCK_BYTES // (784 * max(1, degree) * np.dtype(dtype).itemsize)
         tol = 1e-12 if f64 else 1e-5  # a block's own BLAS call may sum in another order
         for batch in (2 * rows + 37, 0):
             x = Rng(2, "x").uniform(-2.0, 2.0, (batch, 784))
@@ -89,9 +89,8 @@ def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
 @pytest.fixture
 def eight_cpus(monkeypatch):
     """An eval forward of several blocks runs on up to eight threads: the
-    process seems to own eight cores, and one BLAS thread leaves all free."""
+    process seems to own eight cores, whatever BLAS's thread count."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def _eval_case(kind, dtype):
@@ -99,7 +98,7 @@ def _eval_case(kind, dtype):
     and a ragged tail, and the block size."""
     layer = _filled_layer(784, 4, 3, kind, dtype=dtype)
     layer.training = False
-    rows = EVAL_BASIS_BYTES // (784 * 3 * np.dtype(dtype).itemsize)
+    rows = BLOCK_BYTES // (784 * 3 * np.dtype(dtype).itemsize)
     return layer, Rng(7, "x").uniform(-2.0, 2.0, (8 * rows + 37, 784)), rows
 
 
@@ -139,30 +138,6 @@ def test_eval_forward_is_bit_identical_whatever_the_worker_count(eight_cpus):
                              env=env, capture_output=True, timeout=120)
     assert one_cpu.returncode == 0, one_cpu.stderr.decode()
     assert one_cpu.stdout == got
-
-
-@pytest.mark.parametrize("cpus, openblas, omp, blocks, want", [
-    (8, "1", None, 1, 1),       # one block runs on the calling thread
-    (2, None, None, 9, 1),      # unset: OpenBLAS starts a thread per core
-    (8, None, None, 9, 1),
-    (2, "1", None, 9, 2),       # one BLAS thread frees every core
-    (8, "1", None, 5, 5),       # never more workers than blocks
-    (8, "2", None, 9, 4),
-    (8, "16", None, 9, 1),      # more BLAS threads than cores still leaves one
-    (8, None, "2", 9, 4),       # OMP_NUM_THREADS counts when OPENBLAS_NUM_THREADS is unset
-    (8, "4", "1", 9, 2),        # ... and not when it is set
-    (8, " 2 ", None, 9, 4),
-    *[(8, bad, "2", 9, 4) for bad in ("0", "-1", "x", "")],  # or invalid
-    *[(8, None, bad, 9, 1) for bad in ("0", "-1", "x", "")],
-])
-def test_eval_worker_count_leaves_blas_its_cores(monkeypatch, cpus, openblas, omp, blocks, want):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
-    assert layers._workers(blocks) == want
 
 
 def test_eval_pool_keeps_the_callers_error_state(eight_cpus):

@@ -1,3 +1,8 @@
+import itertools
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -57,3 +62,66 @@ def test_check_dtype_admits_only_float32_and_float64():
     for dtype in (np.int64, np.uint8, np.bool_, np.float16, np.complex64, object, "foo"):
         with pytest.raises(ValueError, match="unsupported dtype .*; use float32 or float64"):
             ndcore.check_dtype(dtype)
+
+
+def _fake_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 5 * 7 + 3])
+def test_row_blocks_tile_every_row_exactly_once(monkeypatch, n):
+    _fake_cpus(monkeypatch, 4)
+    calls = []  # list.append holds the GIL
+    ndcore.for_row_blocks(lambda _, lo, hi: calls.append((lo, hi)), n, 7)
+    want = [(lo, min(lo + 7, n)) for lo in range(0, n, 7)] or [(0, 0)]  # 0 rows: one empty block
+    assert sorted(calls) == want
+
+
+@pytest.mark.parametrize("cpus, n, want", [
+    (8, 5 * 7, 5),      # never more workers than blocks
+    (2, 5 * 7, 2),      # nor than CPUs in the mask
+    (1, 9 * 7, 1),
+    (8, 7 * 7 + 1, 8),
+])
+def test_worker_count_is_the_blocks_capped_by_the_cpu_mask(monkeypatch, cpus, n, want):
+    # BLAS's thread count plays no part
+    _fake_cpus(monkeypatch, cpus)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    states = ndcore.for_row_blocks(lambda s, lo, hi: None, n, 7, itertools.count(1).__next__)
+    assert states == list(range(1, want + 1))  # one state per worker
+
+
+def test_one_block_runs_on_the_calling_thread_and_reads_no_cpu_mask(monkeypatch):
+    def no_mask(pid):
+        raise AssertionError("the CPU mask was read")
+
+    monkeypatch.setattr(os, "sched_getaffinity", no_mask, raising=False)
+    monkeypatch.setattr(ndcore, "_pool", {})  # a pool made here would land in it
+    threads = []
+    for n in (0, 1, 7):
+        states = ndcore.for_row_blocks(
+            lambda s, lo, hi: threads.append(threading.current_thread()), n, 7, object)
+        assert len(states) == 1
+    assert threads == [threading.current_thread()] * 3
+    assert ndcore._pool == {}
+
+
+def test_an_exception_in_the_callers_block_waits_for_the_started_pool_calls(monkeypatch):
+    _fake_cpus(monkeypatch, 8)
+    caller, pool_ran = threading.current_thread(), threading.Event()
+    running, ended = [], []  # list.append and .pop hold the GIL
+
+    def task(_, lo, hi):
+        if threading.current_thread() is caller:
+            pool_ran.wait(10)  # leave the pool a block in flight
+            raise ValueError("the caller's block failed")
+        running.append(lo)
+        pool_ran.set()
+        time.sleep(0.01)
+        running.pop()
+        ended.append(lo)
+
+    with pytest.raises(ValueError, match="the caller's block failed"):
+        ndcore.for_row_blocks(task, 64, 1)
+    assert pool_ran.is_set() and ended and not running

@@ -56,6 +56,18 @@ def test_spec_validation():
         ArchSpec([2, 2], -1).validate()
 
 
+def test_a_kind_that_is_not_a_polykind_is_rejected():
+    # the forward tests for SECOND and the backward for FIRST, so a string
+    # kind would build first-kind bases and back-propagate second-kind ones
+    for kind in ("second", "first", "bogus", None):
+        with pytest.raises(ValueError, match="kind"):
+            ArchSpec([2, 3, 1], 3, kind, False).validate()
+        with pytest.raises(ValueError, match="kind"):
+            build(ArchSpec([2, 3, 1], 3, kind, False), InitMethod.LECUN, Rng(0, "t"))
+        with pytest.raises(ValueError, match="kind"):
+            ChebyKanLayer(2, 3, 3, kind)
+
+
 def test_forward_backward_shapes():
     spec = ArchSpec([3, 5, 2], 4, S)
     model = build(spec, InitMethod.LECUN, Rng(1, "t"))
