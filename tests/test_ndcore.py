@@ -125,3 +125,40 @@ def test_an_exception_in_the_callers_block_waits_for_the_started_pool_calls(monk
     with pytest.raises(ValueError, match="the caller's block failed"):
         ndcore.for_row_blocks(task, 64, 1)
     assert pool_ran.is_set() and ended and not running
+
+
+def test_an_exception_in_a_pool_call_reaches_the_caller(monkeypatch):
+    _fake_cpus(monkeypatch, 8)
+    caller, pool_raised = threading.current_thread(), threading.Event()
+
+    def task(_, lo, hi):
+        if threading.current_thread() is caller:
+            pool_raised.wait(10)  # keep the pool's calls from being cancelled
+            return
+        pool_raised.set()
+        raise ValueError("a pool block failed")
+
+    with pytest.raises(ValueError, match="a pool block failed"):
+        ndcore.for_row_blocks(task, 64, 1)
+    assert pool_raised.is_set()
+
+
+def test_pool_calls_run_under_the_callers_numpy_error_state(monkeypatch):
+    _fake_cpus(monkeypatch, 8)
+    caller, pool_ran = threading.current_thread(), threading.Event()
+    seen = []  # list.append holds the GIL
+
+    def task(_, lo, hi):
+        if threading.current_thread() is caller:
+            pool_ran.wait(10)
+            return
+        seen.append(np.geterr())
+        pool_ran.set()
+        np.float64(1.0) / np.float64(0.0)  # raises only under the caller's state
+
+    with np.errstate(divide="raise", under="raise"):
+        want = np.geterr()
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            ndcore.for_row_blocks(task, 64, 1)
+    assert seen and all(err == want for err in seen)
+    assert np.geterr() != want  # the caller's state is its own again
