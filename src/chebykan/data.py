@@ -26,6 +26,12 @@ TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
 
+# The image bytes load_mnist_idx holds at once: one buffer, which every chunk
+# of kept rows reuses on its way into the float64 features (83 rows of 784
+# bytes). On 2 vCPUs, 10,000 such rows loaded in a median 17-18.5 ms at any
+# size from 16 KiB to 1 MiB: writing the fresh float64 rows sets the cost.
+IDX_CHUNK_BYTES = 1 << 16
+
 
 class IdxFormatError(ValueError):
     """An IDX file has a bad magic, a truncated body, or inconsistent counts."""
@@ -69,28 +75,35 @@ def idx_header_bytes(magic, dims):
     return out
 
 
-def read_idx(path, expected_magic):
-    """Parse an unsigned-byte IDX file with the given magic into a uint8 array
-    of the header's shape."""
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 4:
-        raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic = int.from_bytes(data[:4], "big")
+def _read_idx_header(f, path, expected_magic):
+    """Read the header of the IDX file open as `f`, check its magic and that
+    its dims account for every byte after it, and return the dims, leaving
+    `f` at the body."""
+    head = f.read(4)
+    if len(head) < 4:
+        raise IdxFormatError(f"{path}: truncated header ({len(head)} bytes)")
+    magic = int.from_bytes(head, "big")
     if magic != expected_magic:
         raise IdxFormatError(
             f"{path}: magic 0x{magic:08x} but expected 0x{expected_magic:08x}"
         )
-    ndim = magic & 0xFF
-    header_len = 4 + 4 * ndim
-    if len(data) < header_len:
-        raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    dims = [int.from_bytes(data[4 + 4 * i:8 + 4 * i], "big") for i in range(ndim)]
-    body = data[header_len:]
-    expected = math.prod(dims)
-    if len(body) != expected:
-        raise IdxFormatError(f"{path}: header implies {expected} data bytes, found {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(dims)
+    raw = f.read(4 * (magic & 0xFF))
+    if len(raw) < 4 * (magic & 0xFF):
+        raise IdxFormatError(f"{path}: truncated header ({4 + len(raw)} bytes)")
+    dims = [int.from_bytes(raw[i:i + 4], "big") for i in range(0, len(raw), 4)]
+    found = os.fstat(f.fileno()).st_size - f.tell()
+    if found != math.prod(dims):
+        raise IdxFormatError(f"{path}: header implies {math.prod(dims)} data bytes, found {found}")
+    return dims
+
+
+def read_idx(path, expected_magic):
+    """Parse an unsigned-byte IDX file with the given magic into a uint8 array
+    of the header's shape. The body is read straight into the array, and its
+    length is checked against the file's size first."""
+    with open(path, "rb") as f:
+        dims = _read_idx_header(f, path, expected_magic)
+        return np.fromfile(f, dtype=np.uint8, count=math.prod(dims)).reshape(dims)
 
 
 def write_idx(path, arr):
@@ -121,24 +134,35 @@ def _check_subset(subset):
 
 def load_mnist_idx(images_path, labels_path, subset=None):
     """Load an image/label IDX pair; features land in [0, 1], labels in [0, 10).
-    Both files are checked whole, but only the first `subset` examples (all,
-    when None) are converted, so the rest hold no memory once it returns. A
-    subset below 1 raises ValueError before either file is read."""
+    Both files are checked whole: the image file's length against its header,
+    every label against [0, 10). Only the first `subset` examples' pixels
+    (all, when None) are read, through one IDX_CHUNK_BYTES buffer, each chunk
+    divided by 255 straight into its rows of the float64 features; no other
+    example's pixels are read. A subset below 1 raises ValueError before
+    either file is opened."""
     _check_subset(subset)
-    images = read_idx(images_path, IMAGES_MAGIC)
-    labels = read_idx(labels_path, LABELS_MAGIC)
-    if images.shape[0] == 0:
-        raise IdxFormatError(f"{images_path}: holds no images")
-    if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    if labels.max() > 9:
-        raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, 10)")
-    kept = images[:subset]
-    # one pass: each byte widens to float64 inside the divide's loop
-    feats = np.divide(kept.reshape(len(kept), -1), 255.0, dtype=np.float64)
-    return Dataset(features=feats, labels=labels[:subset].astype(np.int64))
+    with open(images_path, "rb") as f:
+        dims = _read_idx_header(f, images_path, IMAGES_MAGIC)
+        labels = read_idx(labels_path, LABELS_MAGIC)
+        if dims[0] == 0:
+            raise IdxFormatError(f"{images_path}: holds no images")
+        if dims[0] != labels.shape[0]:
+            raise IdxFormatError(f"count mismatch: {dims[0]} images vs {labels.shape[0]} labels")
+        if labels.max() > 9:
+            raise IdxFormatError(f"{labels_path}: label {labels.max()} outside [0, 10)")
+        labels = labels[:subset]
+        width = math.prod(dims[1:])
+        feats = np.empty((len(labels), width))
+        chunk = np.empty((max(1, IDX_CHUNK_BYTES // max(1, width)), width), dtype=np.uint8)
+        for lo in range(0, len(feats), len(chunk)):
+            rows = feats[lo:lo + len(chunk)]
+            got = f.readinto(chunk[:len(rows)])
+            if got != rows.size:  # the file shrank since its length was checked
+                raise IdxFormatError(f"{images_path}: header implies {math.prod(dims)} "
+                                     f"data bytes, found {lo * width + got}")
+            # the divide widens each byte to float64 inside its loop
+            np.divide(chunk[:len(rows)], 255.0, out=rows, dtype=np.float64)
+    return Dataset(features=feats, labels=labels.astype(np.int64))
 
 
 def load_mnist(data_dir=None, subset=None):

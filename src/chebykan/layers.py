@@ -198,11 +198,14 @@ class LayerNorm:
     def forward(self, x):
         x = ndcore.as_mat(x, self.gamma.dtype, (None, self.dim))
         d = x - x.mean(axis=1, keepdims=True)
-        var = np.mean(d * d, axis=1, keepdims=True)  # np.var's own steps
+        y = d * d
+        var = np.mean(y, axis=1, keepdims=True)  # np.var's own steps
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = d * inv
+        xhat = np.multiply(d, inv, out=d)
         self._cache = (xhat, inv) if self.training else None
-        return self.gamma * xhat + self.beta
+        np.multiply(self.gamma, xhat, out=y)  # gamma * xhat + beta, in d * d's buffer
+        y += self.beta
+        return y
 
     def backward(self, dLdy, input_grad=True):
         xhat, inv = _training_cache(self)

@@ -16,6 +16,7 @@ write only a block's own rows, so how many workers run (at most
 
 import hashlib
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -133,15 +134,20 @@ def for_row_blocks(task, n, rows, state=lambda: None):
     state, and W - 1 calls on the process's pool, each under the caller's
     numpy error state, which new threads do not inherit. A pool call that has
     not started when the caller's own ends, having taken every block left, is
-    cancelled, not waited for. This returns once every started call has
-    ended, raising the first exception any worker raised. One block runs on
-    the calling thread and reads no CPU mask."""
+    cancelled, not waited for. A worker that raises takes every block left,
+    so each other worker stops after the block it holds. This returns
+    once every started call has ended, raising the first exception any worker
+    raised. One block runs on the calling thread and reads no CPU mask."""
     starts = range(0, max(1, n), rows)
     shared = iter(starts)  # each next() is one call under the GIL
 
     def work(s):
-        for lo in shared:
-            task(s, lo, min(lo + rows, n))
+        try:
+            for lo in shared:
+                task(s, lo, min(lo + rows, n))
+        except BaseException:
+            deque(shared, maxlen=0)  # drained, so no worker takes another block
+            raise
 
     states = [state() for _ in range(1 if len(starts) == 1 else min(len(starts), mask_cpus()))]
     if len(states) == 1:

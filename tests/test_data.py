@@ -1,12 +1,15 @@
 import os
+import re
 import shutil
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_IMAGES, TRAIN_LABELS,
+from chebykan import data
+from chebykan.data import (IDX_CHUNK_BYTES, IMAGES_MAGIC, LABELS_MAGIC, TRAIN_IMAGES, TRAIN_LABELS,
                            Dataset, FractalParams, IdxFormatError, NormScheme,
                            apply_norm, fractal_grid, fractal_seed, grid_lines,
                            idx_header_bytes, load_mnist, load_mnist_idx,
@@ -100,6 +103,72 @@ def test_load_mnist_subset_converts_only_the_kept_rows(synth_mnist_dir, tmp_path
     write_idx(tmp_path / TRAIN_LABELS, labels)
     with pytest.raises(IdxFormatError, match="label 10"):
         load_mnist(tmp_path, subset=5)
+
+
+@pytest.mark.parametrize("chunks", [1, 1 + 1 / 83, 2.5, None])  # 83 rows of 784 bytes fill one
+def test_load_mnist_idx_streams_the_kept_rows_exactly(synth_mnist_dir, chunks):
+    images, labels = synth_mnist_dir / TRAIN_IMAGES, synth_mnist_dir / TRAIN_LABELS
+    n = None if chunks is None else round(chunks * (IDX_CHUNK_BYTES // 784))
+    ds = load_mnist_idx(images, labels, n)
+    pixels = read_idx(images, IMAGES_MAGIC)[:n]
+    want = np.divide(pixels.reshape(len(pixels), -1), 255.0, dtype=np.float64)
+    assert ds.features.dtype == np.float64 and ds.features.tobytes() == want.tobytes()
+    assert ds.labels.dtype == np.int64
+    np.testing.assert_array_equal(ds.labels, read_idx(labels, LABELS_MAGIC)[:n])
+
+
+def test_every_idx_error_keeps_its_message(tmp_path, monkeypatch):
+    def path(name, blob):
+        (tmp_path / name).write_bytes(blob)
+        return tmp_path / name
+
+    header = idx_header_bytes(IMAGES_MAGIC, (2, 3, 3))
+    labels = path("l", idx_header_bytes(LABELS_MAGIC, (2,)) + bytes([1, 2]))
+    for images, message in [
+        (path("tiny", header[:3]), "tiny: truncated header (3 bytes)"),
+        (path("dims", header[:10]), "dims: truncated header (10 bytes)"),
+        (path("short", header + bytes(14)), "short: header implies 18 data bytes, found 14"),
+        (path("long", header + bytes(22)), "long: header implies 18 data bytes, found 22"),
+        (path("magic", idx_header_bytes(LABELS_MAGIC, (18,)) + bytes(18)),
+         "magic: magic 0x00000801 but expected 0x00000803"),
+        (path("none", idx_header_bytes(IMAGES_MAGIC, (0, 3, 3))), "none: holds no images"),
+        (path("three", idx_header_bytes(IMAGES_MAGIC, (3, 3, 3)) + bytes(27)),
+         "count mismatch: 3 images vs 2 labels"),
+    ]:
+        with pytest.raises(IdxFormatError, match=re.escape(message)):
+            load_mnist_idx(images, labels)
+        if "images" not in message:  # one file's own fault: read_idx names it too
+            with pytest.raises(IdxFormatError, match=re.escape(message)):
+                read_idx(images, IMAGES_MAGIC)
+    # a label past the kept rows is still checked
+    bad = path("bad", idx_header_bytes(LABELS_MAGIC, (2,)) + bytes([1, 12]))
+    with pytest.raises(IdxFormatError, match=re.escape("bad: label 12 outside [0, 10)")):
+        load_mnist_idx(path("ok", header + bytes(18)), bad, subset=1)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(data, "open", no_open, raising=False)
+    with pytest.raises(ValueError, match="subset must be >= 1, got 0"):
+        load_mnist_idx(tmp_path / "ok", labels, subset=0)
+
+
+def test_load_mnist_idx_holds_only_the_features_labels_and_one_chunk(tmp_path):
+    n, side = 20_000, 8
+    write_idx(tmp_path / "i", np.full((n, side, side), 7, dtype=np.uint8))
+    write_idx(tmp_path / "l", np.arange(n) % 10)
+    tracemalloc.start()
+    try:
+        ds = load_mnist_idx(tmp_path / "i", tmp_path / "l")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (n, side * side)
+    # the file's uint8 labels and their int64 copy; twice the chunk leaves
+    # room for the interpreter's own small objects, but not for the image
+    # file's 1.28 MB body
+    bound = ds.features.nbytes + n * (1 + 8) + 2 * IDX_CHUNK_BYTES
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("subset", [0, -5])

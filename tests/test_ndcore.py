@@ -127,6 +127,28 @@ def test_an_exception_in_the_callers_block_waits_for_the_started_pool_calls(monk
     assert pool_ran.is_set() and ended and not running
 
 
+def test_no_worker_takes_a_block_after_another_has_raised(monkeypatch):
+    _fake_cpus(monkeypatch, 8)
+    caller, pool_ran = threading.current_thread(), threading.Event()
+    raised, late = [], []  # list.append holds the GIL
+
+    def task(_, lo, hi):
+        if threading.current_thread() is caller:
+            pool_ran.wait(10)
+            raised.append(lo)
+            raise ValueError("the caller's block failed")
+        if raised:
+            late.append(lo)
+        pool_ran.set()
+        time.sleep(0.01)
+
+    with pytest.raises(ValueError, match="the caller's block failed"):
+        ndcore.for_row_blocks(task, 64, 1)
+    # each of the 7 pool calls may have taken one block before the raise
+    # and started it after; none takes another
+    assert pool_ran.is_set() and len(late) <= 7
+
+
 def test_an_exception_in_a_pool_call_reaches_the_caller(monkeypatch):
     _fake_cpus(monkeypatch, 8)
     caller, pool_raised = threading.current_thread(), threading.Event()
