@@ -51,3 +51,17 @@ def synth_mnist_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("idx")
     write_synth_mnist(d)
     return d
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """The (rows, inner, cols) of every np.matmul call from here on, one entry
+    per call: the shape of each 2-D product it makes, stacked or not."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls

@@ -14,7 +14,7 @@ import chebykan
 from chebykan import layers, ndcore
 from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
-from chebykan.ndcore import BLOCK_BYTES, Rng, ShapeError
+from chebykan.ndcore import BLOCK_BYTES, GEMM_MACS, Rng, ShapeError
 from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -24,6 +24,14 @@ def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0, dtype=np.float64):
     layer = ChebyKanLayer(in_dim, out_dim, degree, kind, dtype)
     init_coeffs(layer, InitMethod.LECUN, Rng(seed, "layer"))
     return layer
+
+
+def _eval_rows(layer):
+    """The rows of one of ``layer``'s eval blocks: at most BLOCK_BYTES of
+    basis, and at most GEMM_MACS multiply-adds per slab's product."""
+    basis_row = max(1, layer.degree) * layer.input_dim * layer.w.itemsize
+    return max(1, min(BLOCK_BYTES // basis_row,
+                      GEMM_MACS // (layer.input_dim * layer.output_dim)))
 
 
 def test_forward_shape_and_einsum_equivalence():
@@ -42,34 +50,37 @@ def test_forward_shape_and_einsum_equivalence():
         np.testing.assert_allclose(y, expect, atol=1e-14 if f64 else 1e-5, err_msg=case)
         # eval mode builds the basis a block of rows at a time; a batch of
         # several blocks and a ragged tail, and an empty batch, match the
-        # training forward
-        layer = _filled_layer(784, 4, degree, kind, dtype=dtype)
-        rows = BLOCK_BYTES // (784 * max(1, degree) * np.dtype(dtype).itemsize)
-        tol = 1e-12 if f64 else 1e-5  # a block's own BLAS call may sum in another order
-        for batch in (2 * rows + 37, 0):
-            x = Rng(2, "x").uniform(-2.0, 2.0, (batch, 784))
-            layer.training = True
-            want = layer.forward(x)
-            layer.training = False
-            got = layer.forward(x)
-            assert got.shape == want.shape == (batch, 4) and got.dtype == dtype, case
-            np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=case)
-        # a training forward is the eval loop's one block over the whole
-        # batch, so up to one eval block the two forwards are bit-identical
-        for batch in (rows, 3, 1, 0):
-            x = Rng(3, "x").uniform(-2.0, 2.0, (batch, 784))
-            layer.training = True
-            want = layer.forward(x)
-            t = layer._cache  # P_1..P_degree: P_0 = 1 enters as a bias
-            assert t.shape == (degree, batch, 784) and t.dtype == dtype, case
-            basis = _basis_stack(np.tanh(x.astype(dtype)), degree, kind)
-            for k in range(degree):  # each P_{k+1} is one contiguous slab
-                assert t[k].flags.c_contiguous, f"{case}, batch {batch}, slab {k}"
-                np.testing.assert_array_equal(t[k], basis[k + 1], err_msg=case)
-            layer.training = False
-            got = layer.forward(x)
-            assert layer._cache is None and got.dtype == want.dtype == dtype, case
-            np.testing.assert_array_equal(got, want, err_msg=f"{case}, batch {batch}")
+        # training forward. At 784x4 BLOCK_BYTES bounds the block; at 784x32
+        # GEMM_MACS does, to 39 rows
+        for width in (4, 32):
+            layer = _filled_layer(784, width, degree, kind, dtype=dtype)
+            rows = _eval_rows(layer)
+            wide = f"{case}, 784x{width}"
+            tol = 1e-12 if f64 else 1e-5  # a block's own BLAS call may sum in another order
+            for batch in (2 * rows + 37, 0):
+                x = Rng(2, "x").uniform(-2.0, 2.0, (batch, 784))
+                layer.training = True
+                want = layer.forward(x)
+                layer.training = False
+                got = layer.forward(x)
+                assert got.shape == want.shape == (batch, width) and got.dtype == dtype, wide
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=wide)
+            # a training forward is the eval loop's one block over the whole
+            # batch, so up to one eval block the two forwards are bit-identical
+            for batch in (rows, 3, 1, 0):
+                x = Rng(3, "x").uniform(-2.0, 2.0, (batch, 784))
+                layer.training = True
+                want = layer.forward(x)
+                t = layer._cache  # P_1..P_degree: P_0 = 1 enters as a bias
+                assert t.shape == (degree, batch, 784) and t.dtype == dtype, wide
+                basis = _basis_stack(np.tanh(x.astype(dtype)), degree, kind)
+                for k in range(degree):  # each P_{k+1} is one contiguous slab
+                    assert t[k].flags.c_contiguous, f"{wide}, batch {batch}, slab {k}"
+                    np.testing.assert_array_equal(t[k], basis[k + 1], err_msg=wide)
+                layer.training = False
+                got = layer.forward(x)
+                assert layer._cache is None and got.dtype == want.dtype == dtype, wide
+                np.testing.assert_array_equal(got, want, err_msg=f"{wide}, batch {batch}")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -78,12 +89,46 @@ def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
     # w[0].sum(0) as its bias: the tanh-MLP baseline needs no layer of its own
     layer = _filled_layer(784, 32, 1, F, dtype=dtype)
     x = Rng(4, "x").uniform(-2.0, 2.0, (64, 784)).astype(dtype)
-    want = np.tanh(x) @ layer.w[1] + layer.w[0].sum(0)
+    # the layer's product runs in even row tiles of at most GEMM_MACS
+    # multiply-adds, two of 32 rows here, so the reference makes the same
+    # plain np.matmul calls. The eval blocks, 39 rows and 25, match them
+    # bit for bit: under the bound, a row's bits do not depend on its call's
+    # row count, unless that count is 1
+    tiles = -(-64 // (GEMM_MACS // (784 * 32)))
+    step = -(-64 // tiles)
+    xt = np.tanh(x)
+    want = np.concatenate([np.matmul(xt[lo:lo + step], layer.w[1])
+                           for lo in range(0, 64, step)]) + layer.w[0].sum(0)
     for training in (True, False):
         layer.training = training
         y = layer.forward(x)
         assert y.dtype == dtype
-        np.testing.assert_allclose(y, want, rtol=1e-12, atol=0, err_msg=f"training={training}")
+        np.testing.assert_array_equal(y, want, err_msg=f"training={training}")
+
+
+@pytest.mark.parametrize("degree, kind", [(3, F), (5, S)])
+def test_every_product_at_the_mnist_shapes_stays_within_the_gemm_bound(matmul_calls, degree, kind):
+    # every BLAS call of forward and backward goes through np.matmul, by
+    # ndcore.matmul_tiles; at batch 64 and 1,024, in both modes, none of its
+    # 2-D products makes more than GEMM_MACS multiply-adds, and each eval
+    # block's contraction is one call
+    seen = []
+    for width_in, width_out in ((784, 32), (32, 16), (16, 10)):
+        layer = _filled_layer(width_in, width_out, degree, kind)
+        for batch in (64, 1024):
+            x = Rng(5, "x").uniform(-2.0, 2.0, (batch, width_in))
+            dLdy = Rng(6, "dLdy").normal(0.0, 1.0, (batch, width_out))
+            layer.training = False
+            layer.forward(x)
+            assert len(matmul_calls) == -(-batch // _eval_rows(layer))
+            layer.training = True
+            layer.forward(x)
+            layer.backward(dLdy, input_grad=False)
+            layer.backward(dLdy)
+            seen += matmul_calls
+            matmul_calls.clear()
+    assert (32, 784, 32) in seen  # the batch-64 contraction, as two tiles
+    assert max(m * k * n for m, k, n in seen) <= GEMM_MACS
 
 
 @pytest.fixture
@@ -93,24 +138,25 @@ def eight_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
 
-def _eval_case(kind, dtype):
-    """A degree-3 784x4 layer in eval mode, a batch of eight full row blocks
-    and a ragged tail, and the block size."""
-    layer = _filled_layer(784, 4, 3, kind, dtype=dtype)
+def _eval_case(kind, dtype, width=4):
+    """A degree-3 784x``width`` layer in eval mode, a batch of eight full row
+    blocks and a ragged tail, and the block size: BLOCK_BYTES bounds it at
+    784x4 (55 rows, 111 in float32), GEMM_MACS at 784x32 (39 rows)."""
+    layer = _filled_layer(784, width, 3, kind, dtype=dtype)
     layer.training = False
-    rows = BLOCK_BYTES // (784 * 3 * np.dtype(dtype).itemsize)
+    rows = _eval_rows(layer)
     return layer, Rng(7, "x").uniform(-2.0, 2.0, (8 * rows + 37, 784)), rows
 
 
 # a subprocess that sees one core, so the eval forward runs on its own thread
 _ONE_CPU_FORWARD = """
-import os, sys
+import itertools, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from test_layers import F, S, _eval_case
-for kind, dtype in ((F, np.float64), (F, np.float32), (S, np.float64), (S, np.float32)):
-    layer, x, _ = _eval_case(kind, dtype)
+for kind, dtype, width in itertools.product((F, S), (np.float64, np.float32), (4, 32)):
+    layer, x, _ = _eval_case(kind, dtype, width)
     sys.stdout.buffer.write(layer.forward(x).tobytes())
 """
 
@@ -122,11 +168,11 @@ def test_eval_forward_is_bit_identical_whatever_the_worker_count(eight_cpus):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the shared block iterator over often
     try:
-        for kind, dtype in itertools.product((F, S), (np.float64, np.float32)):
-            layer, x, rows = _eval_case(kind, dtype)
+        for kind, dtype, width in itertools.product((F, S), (np.float64, np.float32), (4, 32)):
+            layer, x, rows = _eval_case(kind, dtype, width)
             y = layer.forward(x)
             want = np.concatenate([layer.forward(x[s:s + rows]) for s in range(0, len(x), rows)])
-            np.testing.assert_array_equal(y, want, err_msg=f"{kind}, {np.dtype(dtype)}")
+            np.testing.assert_array_equal(y, want, err_msg=f"{kind}, {np.dtype(dtype)}, 784x{width}")
             got += y.tobytes()
     finally:
         sys.setswitchinterval(old)

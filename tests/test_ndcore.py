@@ -184,3 +184,51 @@ def test_pool_calls_run_under_the_callers_numpy_error_state(monkeypatch):
             ndcore.for_row_blocks(task, 64, 1)
     assert seen and all(err == want for err in seen)
     assert np.geterr() != want  # the caller's state is its own again
+
+
+@pytest.mark.parametrize("m, k, n", [
+    (9, 1000, 100),    # just under GEMM_MACS: one call
+    (10, 1000, 100),   # at it: one call
+    (11, 1000, 100),   # just over: two tiles, of 6 and 5 rows
+    (39, 784, 32),     # the MNIST layer's widest call under the bound
+    (64, 784, 32),     # the batch-64 contraction: two tiles of 32 rows
+    (784, 64, 32),     # the coefficient gradient: two tiles of 392 rows
+])
+def test_matmul_tiles_keeps_every_call_within_the_bound(matmul_calls, m, k, n):
+    r = Rng(0, "tiles")
+    a, b = r.normal(0.0, 1.0, (m, k)), r.normal(0.0, 1.0, (k, n))
+    want = a @ b
+    got = ndcore.matmul_tiles(a, b, np.empty((m, n)))
+    cap = ndcore.GEMM_MACS // (k * n)
+    tiles = -(-m // cap)
+    assert [(k, n)] * tiles == [c[1:] for c in matmul_calls]
+    rows = [c[0] for c in matmul_calls]
+    assert sum(rows) == m and max(rows) * k * n <= ndcore.GEMM_MACS
+    assert max(rows) - min(rows) < tiles  # even tiles, the last one shorter
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_matmul_tiles_is_np_matmul_for_every_operand_layout():
+    r = Rng(1, "tiles")
+    t = r.normal(0.0, 1.0, (3, 100, 784))
+    cases = {
+        "2-D": (t[0], r.normal(0.0, 1.0, (784, 32))),
+        "stacked": (t, r.normal(0.0, 1.0, (3, 784, 32))),
+        "transposed view": (t.transpose(0, 2, 1), r.normal(0.0, 1.0, (100, 32))),
+        "2-D @ 3-D": (r.normal(0.0, 1.0, (100, 32)), r.normal(0.0, 1.0, (3, 784, 32)).transpose(0, 2, 1)),
+    }
+    for case, (a, b) in cases.items():
+        want = np.matmul(a, b)
+        a_rows, inner = a.shape[-2:]
+        assert a_rows * inner * b.shape[-1] > ndcore.GEMM_MACS, case  # so it is tiled
+        got = ndcore.matmul_tiles(a, b, np.empty_like(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+                                   err_msg=case)
+
+
+def test_matmul_tiles_of_no_rows_writes_nothing(matmul_calls):
+    buf = np.full((3, 5, 32), np.nan)  # the 0-row outputs view its rows
+    for a, b in ((np.empty((3, 0, 784)), np.ones((3, 784, 32))),
+                 (np.empty((0, 784)), np.ones((3, 784, 32)))):
+        assert ndcore.matmul_tiles(a, b, buf[:, :0]).shape == (3, 0, 32)
+    assert np.isnan(buf).all() and all(rows == 0 for rows, _, _ in matmul_calls)
