@@ -126,9 +126,10 @@ def matmul_tiles(a, b, out):
     shorter: the tiles depend only on the shapes. Operands broadcast as
     np.matmul's do, so a stacked ``b`` may meet a 2-D ``a``."""
     m, k = a.shape[-2:]
-    cap = max(1, GEMM_MACS // max(1, k * b.shape[-1]))
-    if m <= cap:  # one tile: the slicing below costs about a microsecond a call
+    n = b.shape[-1]
+    if m * k * n <= GEMM_MACS:  # one tile: skip the cap and slicing, ~0.4 us a call
         return np.matmul(a, b, out=out)
+    cap = max(1, GEMM_MACS // (k * n))
     step = -(-m // -(-m // cap))  # ceil(m / cap) even tiles
     for lo in range(0, m, step):
         np.matmul(a[..., lo:lo + step, :], b, out=out[..., lo:lo + step, :])
