@@ -55,19 +55,22 @@ class ChebyKanLayer:
     degree partial sums are added; the tests pin it against a brute force
     triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
     ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
-    Every matrix product of ``forward`` and ``backward`` runs through
-    ``ndcore.matmul_tiles``, so no BLAS call makes more than
-    ``ndcore.GEMM_MACS`` multiply-adds per slab unless one row does: a
-    batch-64 contraction at 784x32 is two 32-row calls per slab, and the
-    coefficient gradient at 784 inputs two 392-row ones.
+    The contraction and the coefficient gradient run through
+    ``ndcore.matmul_tiles``, so their BLAS calls make at most
+    ``ndcore.GEMM_MACS`` multiply-adds per slab unless the bound allows
+    fewer than ``ndcore.GEMM_MIN_ROWS`` rows a tile: a batch-64 contraction
+    at 784x32 is two 32-row calls per slab, and the coefficient gradient at
+    784 inputs two 392-row ones. The input gradient is one call, which read
+    faster than tiles at every measured shape.
     ``forward`` builds and contracts the stack a block of rows at a time, by
     ``ndcore.for_row_blocks``. In eval mode a block is at most
-    ``ndcore.GEMM_MACS // (input_dim * output_dim)`` rows, so its contraction
-    is one call per slab, and holds at most ``ndcore.BLOCK_BYTES`` of basis,
-    or one row if that row's is bigger (1.2 MB at degree 5 and 30,000
-    float64 inputs): 33 rows at 784x32 and degree 5, 39 at degree 3. So the
-    working set does not grow with the batch size, where the whole stack at
-    degree 5 is five times the input's size. Each worker has its own stack;
+    ``ndcore.gemm_rows(input_dim, output_dim)`` rows, if that is not None, so
+    its contraction is one call per slab, and holds at most
+    ``ndcore.BLOCK_BYTES`` of basis, or one row if that row's is bigger
+    (1.2 MB at degree 5 and 30,000 float64 inputs): 33 rows at 784x32 and
+    degree 5, 39 at degree 3. So the working set does not grow with the
+    batch size, where the whole stack at degree 5 is five times the input's
+    size. Each worker has its own stack;
     each block runs the one-thread loop's ops and writes only its own rows
     of the output, so the worker count changes no bit of it. In training
     mode the block is the whole batch, because backward reads the whole
@@ -103,8 +106,8 @@ class ChebyKanLayer:
         x = ndcore.as_mat(x, self.w.dtype, (None, self.input_dim))
         n = self.degree
         y = np.empty((len(x), self.output_dim), dtype=x.dtype)
-        block = min(ndcore.BLOCK_BYTES // (max(1, n) * self.input_dim * x.itemsize),
-                    ndcore.GEMM_MACS // (self.input_dim * self.output_dim))
+        block = ndcore.BLOCK_BYTES // (max(1, n) * self.input_dim * x.itemsize)
+        block = min(block, ndcore.gemm_rows(self.input_dim, self.output_dim) or block)
         rows = max(1, len(x) if self.training else block)
         shape = (n, min(rows, len(x)))
 
@@ -136,8 +139,7 @@ class ChebyKanLayer:
             return None
         if n == 0:
             return np.zeros((batch, width), dtype=t.dtype)
-        gb = ndcore.matmul_tiles(  # dL/dP_k, k >= 1: [degree, batch, in]
-            dLdy, self.w[1:].transpose(0, 2, 1), np.empty_like(t))
+        gb = np.matmul(dLdy, self.w[1:].transpose(0, 2, 1))  # dL/dP_k, k >= 1: [degree, batch, in]
         k = np.arange(1, n + 1, dtype=t.dtype)
         s = 0.0 if self.kind is PolyKind.FIRST else 1.0
         xt = t[0] if self.kind is PolyKind.FIRST else 0.5 * t[0]  # U_1 = 2 xt

@@ -7,11 +7,12 @@ on. Data and random draws are float64. A layer's precision, float32 or
 float64 (``check_dtype``), is fixed when it is built, and it coerces its
 inputs to it; float32 is not suitable for gradient checking.
 
-``matmul_tiles`` runs every matrix product of the KAN layer: it cuts the
-left operand's rows into tiles of at most ``GEMM_MACS`` multiply-adds per 2-D
-product, the size below which OpenBLAS skips packing its operands, and makes
-one ``np.matmul`` call per tile. The tiles fix the summation order, so they
-are part of an output's bits.
+``matmul_tiles`` runs the KAN layer's contraction and coefficient gradient:
+it cuts the left operand's rows into tiles of at most ``GEMM_MACS``
+multiply-adds per 2-D product, the size up to which the measured OpenBLAS
+build skips packing its operands, and makes one ``np.matmul`` call per tile,
+unless the bound allows fewer than ``GEMM_MIN_ROWS`` rows a tile. The tiles
+fix the summation order, so they are part of an output's bits.
 
 ``for_row_blocks`` is the package's one pooled loop: it cuts rows into fixed
 blocks and runs them on the calling thread and on one thread pool per process.
@@ -104,32 +105,53 @@ class Rng:
         return int(self._gen.integers(low, high))
 
 
-# The most multiply-adds one 2-D product of matmul_tiles makes. OpenBLAS
-# runs a product [M, K] @ [K, N] with M*K*N <= 1e6 through a small-matrix
-# kernel that reads its operands in place; above that it packs them into
-# panels first, a cost that only large M repays (Goto & van de Geijn,
-# "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3), 2008).
-# Measured under numpy 2.4.6 with its bundled OpenBLAS 0.3.31 (scipy-openblas,
+# The most multiply-adds one 2-D product of matmul_tiles makes. Measured on
+# one build, numpy 2.4.6 with its bundled OpenBLAS 0.3.31 (scipy-openblas,
 # DYNAMIC_ARCH, as np.show_config() reports it) on an AVX-512 x86-64 core at
-# one BLAS thread: (39x784) @ (784x32) took 36.9 us and 40 rows 48.3 us, in
-# float32 18.0 and 22.5 us; 32 rows took 27.3 us and 64 rows 74.2 us.
+# one BLAS thread: a product [M, K] @ [K, N] with M*K*N <= 1e6 runs a
+# small-matrix kernel that reads its operands in place, and above that one
+# packs them into panels first, a cost that only large M repays (Goto & van
+# de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+# 34(3), 2008). (39x784) @ (784x32) took 36.9 us and 40 rows 48.3 us, in
+# float32 18.0 and 22.5 us; 32 rows took 27.3 us and 64 rows 74.2 us. Other
+# builds and cores may switch elsewhere or not at all.
 GEMM_MACS = 1_000_000
+
+# The fewest rows of the cap that gemm_rows gives: where GEMM_MACS // (K*N)
+# is under it, matmul_tiles makes one call and the eval block takes no cap.
+# Every tile reads all of b, so many short tiles cost more than the packing
+# they skip. On the build above, in float64, the layer's forward contraction
+# at 784x1024 in one-row tiles took 8.4x as long as one call at batch 64,
+# and its coefficient gradient at 784x32 in forty 20-row tiles (batch 1,536)
+# 1.46x; 30-row tiles read 0.94-1.01x. Two tiles cost little more than one
+# call: at 784x32 (cap 39) a forward of 40-63 rows in two tiles of 20-32 rows
+# read 0.57-0.85x, and one of 256 or 1,024 rows in 37- or 38-row tiles 0.85x
+# and 0.81x. Even tiles hold more than half the cap.
+GEMM_MIN_ROWS = 32
+
+
+def gemm_rows(k, n):
+    """The most rows of an [M, k] @ [k, n] product that one matmul_tiles call
+    makes: GEMM_MACS // (k * n), or None, no bound, if that is fewer than
+    GEMM_MIN_ROWS."""
+    cap = GEMM_MACS // max(1, k * n)
+    return cap if cap >= GEMM_MIN_ROWS else None
 
 
 def matmul_tiles(a, b, out):
     """Write a @ b into ``out`` by np.matmul calls over even tiles of the rows
     of ``a`` (its second-to-last axis) and of ``out``, and return ``out``.
 
-    ``b`` is not cut. A tile has at most cap = GEMM_MACS // (K * N) rows,
-    or one row if a single row makes more multiply-adds, and the M rows are
-    cut into ceil(M / cap) tiles of ceil(M / tiles) rows, the last one
-    shorter: the tiles depend only on the shapes. Operands broadcast as
-    np.matmul's do, so a stacked ``b`` may meet a 2-D ``a``."""
+    ``b`` is not cut. With M rows and cap = gemm_rows(K, N), a product of
+    more than GEMM_MACS multiply-adds is cut into ceil(M / cap) tiles of
+    ceil(M / tiles) rows, the last one shorter; any other, or one whose cap
+    is None, is one call. The tiles depend only on the shapes. Operands
+    broadcast as np.matmul's do, so a stacked ``b`` may meet a 2-D ``a``."""
     m, k = a.shape[-2:]
     n = b.shape[-1]
-    if m * k * n <= GEMM_MACS:  # one tile: skip the cap and slicing, ~0.4 us a call
+    cap = None if m * k * n <= GEMM_MACS else gemm_rows(k, n)
+    if cap is None:
         return np.matmul(a, b, out=out)
-    cap = max(1, GEMM_MACS // (k * n))
     step = -(-m // -(-m // cap))  # ceil(m / cap) even tiles
     for lo in range(0, m, step):
         np.matmul(a[..., lo:lo + step, :], b, out=out[..., lo:lo + step, :])

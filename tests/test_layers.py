@@ -14,7 +14,7 @@ import chebykan
 from chebykan import layers, ndcore
 from chebykan.chebyshev import PolyKind, _basis_stack, eval_basis
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
-from chebykan.ndcore import BLOCK_BYTES, GEMM_MACS, Rng, ShapeError
+from chebykan.ndcore import BLOCK_BYTES, GEMM_MACS, GEMM_MIN_ROWS, Rng, ShapeError
 from chebykan.network import Sequential
 
 F, S = PolyKind.FIRST, PolyKind.SECOND
@@ -28,10 +28,23 @@ def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0, dtype=np.float64):
 
 def _eval_rows(layer):
     """The rows of one of ``layer``'s eval blocks: at most BLOCK_BYTES of
-    basis, and at most GEMM_MACS multiply-adds per slab's product."""
+    basis, and at most GEMM_MACS multiply-adds per slab's product unless that
+    is fewer than GEMM_MIN_ROWS rows."""
     basis_row = max(1, layer.degree) * layer.input_dim * layer.w.itemsize
-    return max(1, min(BLOCK_BYTES // basis_row,
-                      GEMM_MACS // (layer.input_dim * layer.output_dim)))
+    rows = BLOCK_BYTES // basis_row
+    tile = GEMM_MACS // (layer.input_dim * layer.output_dim)
+    return max(1, min(rows, tile) if tile >= GEMM_MIN_ROWS else rows)
+
+
+def _tile_rows(m, k, n):
+    """The rows of each np.matmul call that an [m, k] @ [k, n] product of the
+    layer makes: even tiles within GEMM_MACS if it is over the bound and the
+    bound allows GEMM_MIN_ROWS rows a tile, else one call."""
+    cap = GEMM_MACS // (k * n)
+    if m * k * n <= GEMM_MACS or cap < GEMM_MIN_ROWS:
+        return [m]
+    step = -(-m // -(-m // cap))
+    return [min(step, m - lo) for lo in range(0, m, step)]
 
 
 def test_forward_shape_and_einsum_equivalence():
@@ -107,28 +120,44 @@ def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
 
 
 @pytest.mark.parametrize("degree, kind", [(3, F), (5, S)])
-def test_every_product_at_the_mnist_shapes_stays_within_the_gemm_bound(matmul_calls, degree, kind):
-    # every BLAS call of forward and backward goes through np.matmul, by
-    # ndcore.matmul_tiles; at batch 64 and 1,024, in both modes, none of its
-    # 2-D products makes more than GEMM_MACS multiply-adds, and each eval
-    # block's contraction is one call
+def test_every_product_follows_the_tile_rule(matmul_calls, degree, kind):
+    # every BLAS call of forward and backward goes through np.matmul. At the
+    # MNIST shapes, at batch 64 and 1,024, and at a 784x1024 layer at batch
+    # 64: the eval forward makes one call per block, on any worker; the
+    # training contraction and the coefficient gradient make _tile_rows's
+    # calls; the input gradient is one
     seen = []
-    for width_in, width_out in ((784, 32), (32, 16), (16, 10)):
+    mnist = itertools.product(((784, 32), (32, 16), (16, 10)), (64, 1024))
+    for (width_in, width_out), batch in [*mnist, ((784, 1024), 64)]:
         layer = _filled_layer(width_in, width_out, degree, kind)
-        for batch in (64, 1024):
-            x = Rng(5, "x").uniform(-2.0, 2.0, (batch, width_in))
-            dLdy = Rng(6, "dLdy").normal(0.0, 1.0, (batch, width_out))
-            layer.training = False
-            layer.forward(x)
-            assert len(matmul_calls) == -(-batch // _eval_rows(layer))
-            layer.training = True
-            layer.forward(x)
-            layer.backward(dLdy, input_grad=False)
-            layer.backward(dLdy)
-            seen += matmul_calls
-            matmul_calls.clear()
-    assert (32, 784, 32) in seen  # the batch-64 contraction, as two tiles
-    assert max(m * k * n for m, k, n in seen) <= GEMM_MACS
+        case = f"{width_in}x{width_out}, batch {batch}"
+        x = Rng(5, "x").uniform(-2.0, 2.0, (batch, width_in))
+        dLdy = Rng(6, "dLdy").normal(0.0, 1.0, (batch, width_out))
+        rows = _eval_rows(layer)
+        layer.training = False
+        layer.forward(x)
+        assert sorted(matmul_calls) == sorted((min(rows, batch - lo), width_in, width_out)
+                                              for lo in range(0, batch, rows)), case
+        del matmul_calls[:]
+        layer.training = True
+        layer.forward(x)
+        fwd = [(r, width_in, width_out) for r in _tile_rows(batch, width_in, width_out)]
+        grad_w = [(r, batch, width_out) for r in _tile_rows(width_in, batch, width_out)]
+        gb = [(batch, width_out, width_in)]
+        layer.backward(dLdy, input_grad=False)
+        layer.backward(dLdy)
+        assert matmul_calls == fwd + grad_w + grad_w + gb, case
+        if width_out < 1024:
+            seen += matmul_calls[:-1]
+        del matmul_calls[:]
+    # at the MNIST shapes the training forward and the coefficient gradient
+    # stay within GEMM_MACS, but for the batch-1,024 coefficient gradient at
+    # 784 inputs, where the bound allows 30 rows a tile
+    assert {(32, 784, 32), (392, 64, 32), (784, 1024, 32)} <= set(seen)
+    assert max(m * k * n for m, k, n in seen if (m, k, n) != (784, 1024, 32)) <= GEMM_MACS
+    # at 784x1024 the bound allows one row a tile, so every product is one
+    # call and an eval block is BLOCK_BYTES's
+    assert _eval_rows(_filled_layer(784, 1024, 3)) == BLOCK_BYTES // (3 * 784 * 8) == 55
 
 
 @pytest.fixture

@@ -186,25 +186,29 @@ def test_pool_calls_run_under_the_callers_numpy_error_state(monkeypatch):
     assert np.geterr() != want  # the caller's state is its own again
 
 
-@pytest.mark.parametrize("m, k, n", [
-    (9, 1000, 100),    # just under GEMM_MACS: one call
-    (10, 1000, 100),   # at it: one call
-    (11, 1000, 100),   # just over: two tiles, of 6 and 5 rows
-    (39, 784, 32),     # the MNIST layer's widest call under the bound
-    (64, 784, 32),     # the batch-64 contraction: two tiles of 32 rows
-    (784, 64, 32),     # the coefficient gradient: two tiles of 392 rows
+@pytest.mark.parametrize("m, k, n, rows", [
+    (79, 250, 50, [79]),            # just under GEMM_MACS: one call
+    (80, 250, 50, [80]),            # at it: one call
+    (81, 250, 50, [41, 40]),        # just over, at 80 rows a tile: two tiles
+    (33, 250, 125, [17, 16]),       # at most GEMM_MIN_ROWS rows a tile: two tiles
+    (64, 250, 128, [64]),           # at most 31: one call
+    (39, 784, 32, [39]),            # the MNIST layer's widest call under the bound
+    (64, 784, 32, [32, 32]),        # the batch-64 contraction
+    (784, 64, 32, [392, 392]),      # its coefficient gradient
+    (784, 1024, 32, [784]),         # the batch-1,024 one: 30 rows a tile
+    (64, 784, 1024, [64]),          # a 784x1024 contraction: one row a tile
 ])
-def test_matmul_tiles_keeps_every_call_within_the_bound(matmul_calls, m, k, n):
+def test_matmul_tiles_cuts_only_tiles_of_enough_rows(matmul_calls, m, k, n, rows):
+    # a product over GEMM_MACS multiply-adds is cut into even row tiles
+    # within the bound, if the bound allows GEMM_MIN_ROWS rows a tile
+    assert (ndcore.GEMM_MACS, ndcore.GEMM_MIN_ROWS) == (1_000_000, 32)
     r = Rng(0, "tiles")
     a, b = r.normal(0.0, 1.0, (m, k)), r.normal(0.0, 1.0, (k, n))
     want = a @ b
     got = ndcore.matmul_tiles(a, b, np.empty((m, n)))
-    cap = ndcore.GEMM_MACS // (k * n)
-    tiles = -(-m // cap)
-    assert [(k, n)] * tiles == [c[1:] for c in matmul_calls]
-    rows = [c[0] for c in matmul_calls]
-    assert sum(rows) == m and max(rows) * k * n <= ndcore.GEMM_MACS
-    assert max(rows) - min(rows) < tiles  # even tiles, the last one shorter
+    assert matmul_calls == [(rows_i, k, n) for rows_i in rows]
+    if len(rows) > 1:
+        assert max(rows) * k * n <= ndcore.GEMM_MACS
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
