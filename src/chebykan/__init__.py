@@ -18,7 +18,7 @@ from .layers import ChebyKanLayer, InitMethod, LayerNorm, init_coeffs
 from .ndcore import Rng, ShapeError
 from .network import (MNIST_WIDTHS, ArchSpec, Sequential, build, load_network,
                       mnist_arch, param_count, save_network)
-from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
+from .optim import Adam, mse_loss, softmax_cross_entropy
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "Adam", "ArchSpec", "ChebyKanLayer", "Dataset", "DivergenceError",
     "FractalParams", "IdxFormatError", "InitMethod", "LayerNorm",
     "MNIST_WIDTHS", "NormScheme", "NormStats", "PolyKind", "Rng", "RunRecord",
-    "Sequential", "Sgd", "ShapeError", "TrainConfig", "apply_norm", "build",
+    "Sequential", "ShapeError", "TrainConfig", "apply_norm", "build",
     "eval_basis", "eval_basis_derivative", "evaluate", "extrema",
     "fractal_grid", "fractal_seed", "gauss_chebyshev", "grad_check",
     "init_coeffs", "load_mnist_idx", "load_network", "mnist_arch", "mse_loss",

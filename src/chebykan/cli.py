@@ -103,7 +103,7 @@ _HELP = {"epochs": "training epochs", "batch_size": "minibatch size", "lr": "lea
          "n": "training samples", "test_n": "test samples", "steps": "optimizer steps",
          "alpha": "noise persistence", "b": "noise amplitude", "iters": "noise iterations",
          "grid": "grid points per side", "extent": "half-width of the square domain",
-         "optimizer": "adam or sgd", "layernorm": "LayerNorm between KAN layers",
+         "optimizer": "adam, the one optimizer", "layernorm": "LayerNorm between KAN layers",
          "max_steps": "cap on optimizer steps", "seed": "base RNG seed",
          "f32": "build the model in float32"}
 

@@ -20,7 +20,7 @@ from .data import NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
 from .ndcore import Rng, check_seed
 from .network import ArchSpec, build
-from .optim import Adam, Sgd, mse_loss, softmax_cross_entropy
+from .optim import Adam, mse_loss, softmax_cross_entropy
 
 RUN_CSV_HEADER = "epoch,train_loss,test_loss,metric"
 ABLATION_CSV_HEADER = "axis_value,test_accuracy,test_loss,param_count,wall_time_s"
@@ -73,14 +73,14 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"optimizer must be 'adam', got {self.optimizer!r}")
         self.make_optimizer()  # its constructor checks lr
         check_seed(self.seed)
 
     def make_optimizer(self):
         """A fresh optimizer of this schedule, the one `train` steps with."""
-        return Adam(self.lr) if self.optimizer == "adam" else Sgd(self.lr)
+        return Adam(self.lr)
 
     def build_model(self):
         """A fresh model of this spec and precision, init from the (seed, "init") substream."""
@@ -121,13 +121,24 @@ class RunRecord:
 def _objective(ds, name="the dataset"):
     """The loss for `ds` and the answers it scores against: softmax
     cross-entropy on integer labels, else mean squared error on targets.
-    ValueError, naming `name`, if `ds` is empty or has neither."""
-    if len(ds) == 0:
+    ValueError, naming `name`, if `ds` is empty or has neither, if its labels
+    are not integers or not one per feature row, or if its targets are not a
+    matrix with one row per feature row."""
+    n = len(ds)
+    if n == 0:
         raise ValueError(f"{name} is empty")
     if ds.labels is not None:
+        if not np.issubdtype(ds.labels.dtype, np.integer):
+            raise ValueError(f"{name} has labels of dtype {ds.labels.dtype}, not integers")
+        if ds.labels.shape != (n,):
+            raise ValueError(f"{name} has labels of shape {ds.labels.shape}, "
+                             f"not one per feature row, ({n},)")
         return softmax_cross_entropy, ds.labels
     if ds.targets is None:
         raise ValueError(f"{name} has neither labels nor targets")
+    if ds.targets.ndim != 2 or len(ds.targets) != n:
+        raise ValueError(f"{name} has targets of shape {ds.targets.shape}, "
+                         f"not one row per feature row, ({n}, width)")
     return mse_loss, ds.targets
 
 
@@ -149,8 +160,9 @@ def _loss_and_metric(model, ds):
 def evaluate(model, ds, task):
     """classify -> argmax-match fraction (ties go to the lower class index),
     regress -> mean squared error, both from one eval forward over the whole
-    split. Labels need classify, targets regress."""
-    _objective(ds)  # empty or answerless: ValueError
+    split. Labels need classify, targets regress. ValueError if the split is
+    empty or answerless, or its labels or targets do not fit its features."""
+    _objective(ds)
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
         raise ValueError(f"task must be {fits!r} for this dataset, got {task!r}")
@@ -175,18 +187,22 @@ def train(model, train_ds, test_ds, cfg):
     non-finite batch loss, and the epoch and split of a non-finite loss in an
     epoch's row. epochs=0 or max_steps=0 just evaluates the initialized model
     (a single epoch-0 row). Before any step, ValueError names the split if a
-    split is empty, has neither labels nor targets, or has non-finite features
-    or targets, and names `widths` unless the model's first width is each
+    split is empty, has neither labels nor targets, has labels that are not
+    one non-negative integer per feature row, has targets that are not a
+    matrix with one row per feature row, or has non-finite features or
+    targets, and names `widths` unless the model's first width is each
     split's feature width and its last the target width or above the labels.
     """
     cfg.validate()
     first, last = model.layers[0].input_dim, model.layers[-1].output_dim
     for split, ds in (("train", train_ds), ("test", test_ds)):
-        _objective(ds, f"the {split} dataset")  # empty or answerless: ValueError
+        _objective(ds, f"the {split} dataset")  # ValueError on a split with no fitting answers
         for name, a in (("features", ds.features), ("targets", ds.targets)):
             # min and max propagate NaN and expose +/-inf without a mask array
             if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
                 raise ValueError(f"the {split} dataset has non-finite {name}")
+        if ds.labels is not None and ds.labels.min() < 0:
+            raise ValueError(f"the {split} dataset has a negative label, {ds.labels.min()}")
         if first != ds.features.shape[1]:
             raise ValueError(f"widths must start with the feature width "
                              f"{ds.features.shape[1]}, got {first}")

@@ -1,9 +1,9 @@
-"""Losses and optimizers.
+"""Losses and the optimizer.
 
 Both losses return (scalar loss, gradient w.r.t. their first argument) so the
-training loop never re-derives gradients. Optimizers update one parameter
-array (a model's ``flat_params``) in place from a gradient array of the same
-shape; their state arrays are allocated on the first step.
+training loop never re-derives gradients. Adam, the one optimizer, updates
+one parameter array (a model's ``flat_params``) in place from a gradient array
+of the same shape; its state arrays are allocated on the first step.
 """
 
 import math
@@ -48,16 +48,6 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad / batch
 
 
-def _check_step(params, grads, state):
-    """Reject a step whose grads, or whose params against the optimizer's
-    state from earlier steps, differ in shape, before any state changes."""
-    if params.shape != grads.shape:
-        raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
-    if state is not None and params.shape != state.shape:
-        raise ShapeError(f"shape mismatch: params {params.shape}, but this optimizer "
-                         f"stepped params of shape {state.shape}")
-
-
 class Adam:
     """Bias-corrected adaptive moment estimation.
 
@@ -85,7 +75,13 @@ class Adam:
         self._scratch = None
 
     def step(self, params, grads):
-        _check_step(params, grads, self.m)
+        # a step whose grads, or whose params against the moments of earlier
+        # steps, differ in shape changes nothing
+        if params.shape != grads.shape:
+            raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}")
+        if self.m is not None and params.shape != self.m.shape:
+            raise ShapeError(f"shape mismatch: params {params.shape}, but this optimizer "
+                             f"stepped params of shape {self.m.shape}")
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
@@ -104,28 +100,3 @@ class Adam:
         np.divide(m, s, out=s)
         s *= self.lr * (1.0 - self.beta1) / (bc1 * c)
         params -= s
-
-
-class Sgd:
-    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v, with the constant
-    momentum 0.9. A step allocates nothing: the velocity and one scratch array
-    for lr*v are made on the first step and reused.
-    """
-
-    momentum = 0.9
-
-    def __init__(self, lr):
-        if not 0 < lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {lr}")
-        self.lr = lr
-        self.velocity = None
-        self._scratch = None
-
-    def step(self, params, grads):
-        _check_step(params, grads, self.velocity)
-        if self.velocity is None:
-            self.velocity = np.zeros_like(params)
-            self._scratch = np.empty_like(params)
-        self.velocity *= self.momentum
-        self.velocity += grads
-        params -= np.multiply(self.velocity, self.lr, out=self._scratch)

@@ -354,7 +354,7 @@ def test_divergence_exits_3(tmp_path, capsys):
     # warning may precede the failure line
     test_loss = "numerical failure: non-finite test loss at the end of epoch 1\n"
     for text, argv, err in (
-            ("optimizer = sgd\nlr = 1e200\nwidths = 1,4,1\n",
+            ("lr = 1e200\nwidths = 1,4,1\n",
              ["approx", "--steps", "50", "--n", "64", "--test-n", "16"], test_loss),
             ("grid = 4\nepochs = 1\nlr = 1e300\n", ["fractal"], test_loss),
             ("", ["approx", "--lo=-1e150", "--hi", "1e150", "--steps", "5"],
@@ -497,7 +497,8 @@ def test_command_interface_is_pinned(command, tmp_path, synth_mnist_dir, capsys)
 
 
 # a value other than the base run's for every key mnist, approx and fractal
-# accept but the paths out and data_dir
+# accept but the paths out and data_dir; adam is the one value optimizer
+# accepts, so its other value is one every run must reject
 _BASE_RUN = {"mnist": {"subset": "16", "widths": "784,4,10", "epochs": "2"},
              "approx": {"steps": "5", "n": "16", "test_n": "8"},
              "fractal": {"grid": "4", "widths": "2,4,1", "epochs": "2"}}
@@ -518,7 +519,7 @@ _ALTERED = {
 
 
 @pytest.mark.parametrize("command", list(_ALTERED))
-def test_every_accepted_key_reaches_the_run(command, tmp_path, synth_mnist_dir):
+def test_every_accepted_key_reaches_the_run(command, tmp_path, synth_mnist_dir, capsys):
     """A key no run reads would write the base run's body."""
     keys = {o.name for o in cli.COMMANDS[command][1]} - {"out", "data_dir"}
     assert keys == set(_ALTERED[command])
@@ -526,21 +527,28 @@ def test_every_accepted_key_reaches_the_run(command, tmp_path, synth_mnist_dir):
     if command == "mnist":
         base["data_dir"] = str(synth_mnist_dir)
 
-    def run_body(entries, flags=()):
+    def run_body(entries, flags=(), code=0):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **entries}.items()))
         out = tmp_path / "k.csv"
         argv = [command, "--config", str(cfg), *flags, "--out", str(out)]
-        assert run(argv) == 0, argv
-        return [body(p) for p in cli._outputs(command, str(out))]
+        assert run(argv) == code, argv
+        return [body(p) for p in cli._outputs(command, str(out))] if code == 0 else None
 
     base_body = run_body({})
     for key in sorted(keys):
         value = _ALTERED[command][key]
-        by_config = run_body({key: value})
-        assert by_config != base_body, key
         flag = key.replace("_", "-")
         as_flag = {"true": f"--{flag}", "false": f"--no-{flag}"}.get(value, f"--{flag}={value}")
+        if key == "optimizer":
+            capsys.readouterr()
+            for entries, flags in (({key: value}, ()), ({}, [as_flag])):
+                run_body(entries, flags, code=1)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "optimizer" in err, (flags, err)
+            continue
+        by_config = run_body({key: value})
+        assert by_config != base_body, key
         assert run_body({}, [as_flag]) == by_config, as_flag
 
 

@@ -163,6 +163,57 @@ def test_non_finite_split_raises_value_error_naming_it():
             train(cfg.build_model(), ds, broken, cfg)
 
 
+def test_answers_that_do_not_fit_the_features_raise_before_any_step():
+    cfg = _small_cfg()
+    ds = _toy_regression()
+    n = len(ds)
+    labels = np.arange(n) % 3
+    digits = Dataset(features=ds.features, labels=labels)
+    for good, bad, message in (
+            (ds, Dataset(features=ds.features, targets=ds.targets[:, 0]),
+             rf"targets of shape \({n},\), not one row per feature row"),
+            (ds, Dataset(features=ds.features, targets=ds.targets[:7]),
+             r"targets of shape \(7, 1\), not one row"),
+            (ds, Dataset(features=ds.features, targets=np.vstack([ds.targets] * 2)),
+             rf"targets of shape \({2 * n}, 1\), not one row"),
+            (digits, Dataset(features=ds.features, labels=labels.astype(float)),
+             "labels of dtype float64, not integers"),
+            (digits, Dataset(features=ds.features, labels=labels[:, None]),
+             rf"labels of shape \({n}, 1\), not one per feature row"),
+            (digits, Dataset(features=ds.features, labels=labels[:7]),
+             r"labels of shape \(7,\), not one per feature row"),
+            (digits, Dataset(features=ds.features, labels=np.tile(labels, 2)),
+             rf"labels of shape \({2 * n},\), not one per feature row"),
+            (digits, Dataset(features=ds.features, labels=labels - 1),
+             "a negative label, -1"),
+    ):
+        width = 1 if good is ds else 3
+        for split, pair in (("train", (bad, good)), ("test", (good, bad))):
+            model = _small_cfg(widths=[1, 8, width]).build_model()
+            before = model.flat_params.copy()
+            with pytest.raises(ValueError, match=f"the {split} dataset has {message}"):
+                train(model, *pair, cfg)
+            np.testing.assert_array_equal(model.flat_params, before)
+
+
+def test_evaluate_rejects_answers_that_do_not_fit_the_features():
+    model = _small_cfg(widths=[1, 8, 3]).build_model()
+    ds = _toy_regression(32)
+    labels = np.arange(32) % 3
+    for bad, task, message in (
+            (Dataset(features=ds.features, labels=labels.astype(np.float32)), "classify",
+             "labels of dtype float32, not integers"),
+            (Dataset(features=ds.features, labels=labels.astype(bool)), "classify",
+             "labels of dtype bool, not integers"),
+            (Dataset(features=ds.features, labels=labels[:7]), "classify",
+             r"labels of shape \(7,\)"),
+            (Dataset(features=ds.features, targets=ds.targets[:7]), "regress",
+             r"targets of shape \(7, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=f"the dataset has {message}"):
+            evaluate(model, bad, task)
+
+
 def test_widths_that_do_not_fit_the_data_raise_before_any_step():
     ds = _toy_regression()
     digits = Dataset(features=ds.features, labels=np.arange(len(ds)) % 10)
@@ -189,8 +240,8 @@ def test_widths_that_do_not_fit_the_data_raise_before_any_step():
 
 
 def test_divergence_raises_with_location():
-    cfg = _small_cfg(optimizer="sgd", lr=1e200, epochs=5)
-    with pytest.raises(DivergenceError, match="epoch"):
+    cfg = _small_cfg(lr=1e200, epochs=5)
+    with pytest.raises(DivergenceError, match="at epoch 1, batch 1$"):
         with np.errstate(all="ignore"):
             train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
 
@@ -200,8 +251,9 @@ def test_config_validation():
         _small_cfg(epochs=-1).validate()
     with pytest.raises(ValueError):
         _small_cfg(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        _small_cfg(optimizer="lbfgs").validate()
+    for name in ("lbfgs", "sgd"):  # Adam is the one optimizer
+        with pytest.raises(ValueError, match=f"optimizer must be 'adam', got '{name}'"):
+            _small_cfg(optimizer=name).validate()
     # the optimizer's name is checked before the optimizer checks lr
     with pytest.raises(ValueError, match="optimizer must be"):
         _small_cfg(optimizer="lbfgs", lr=0.0).validate()
@@ -210,7 +262,7 @@ def test_config_validation():
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             _small_cfg(lr=lr).validate()
-    with pytest.raises(TypeError):  # both optimizers' other settings are constants
+    with pytest.raises(TypeError):  # Adam's other settings are constants
         _small_cfg(momentum=0.5)
     # the architecture fields are checked by the spec a model is built from
     with pytest.raises(ValueError, match="degree"):
