@@ -121,9 +121,13 @@ class RunRecord:
 def _objective(ds, name="the dataset"):
     """The loss for `ds` and the answers it scores against: softmax
     cross-entropy on integer labels, else mean squared error on targets.
-    ValueError, naming `name`, if `ds` is empty or has neither, if its labels
-    are not integers or not one per feature row, or if its targets are not a
-    matrix with one row per feature row."""
+    ValueError, naming `name`, if its features are not a matrix, if `ds` is
+    empty or has neither, if its labels are not integers or not one per
+    feature row, or if its targets are not a matrix with one row per feature
+    row."""
+    if ds.features.ndim != 2:
+        raise ValueError(f"{name} has features of shape {ds.features.shape}, "
+                         f"not a matrix, (rows, width)")
     n = len(ds)
     if n == 0:
         raise ValueError(f"{name} is empty")
@@ -160,8 +164,9 @@ def _loss_and_metric(model, ds):
 def evaluate(model, ds, task):
     """classify -> argmax-match fraction (ties go to the lower class index),
     regress -> mean squared error, both from one eval forward over the whole
-    split. Labels need classify, targets regress. ValueError if the split is
-    empty or answerless, or its labels or targets do not fit its features."""
+    split. Labels need classify, targets regress. ValueError if the split's
+    features are not a matrix, if it is empty or answerless, or if its labels
+    or targets do not fit its features."""
     _objective(ds)
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
@@ -187,11 +192,12 @@ def train(model, train_ds, test_ds, cfg):
     non-finite batch loss, and the epoch and split of a non-finite loss in an
     epoch's row. epochs=0 or max_steps=0 just evaluates the initialized model
     (a single epoch-0 row). Before any step, ValueError names the split if a
-    split is empty, has neither labels nor targets, has labels that are not
-    one non-negative integer per feature row, has targets that are not a
-    matrix with one row per feature row, or has non-finite features or
-    targets, and names `widths` unless the model's first width is each
-    split's feature width and its last the target width or above the labels.
+    split's features are not a matrix, or if it is empty, has neither labels
+    nor targets, has labels that are not one non-negative integer per
+    feature row, has targets that are not a matrix with one row per feature
+    row, or has non-finite features or targets, and names `widths` unless the
+    model's first width is each split's feature width and its last the
+    target width or above the labels.
     """
     cfg.validate()
     first, last = model.layers[0].input_dim, model.layers[-1].output_dim

@@ -56,25 +56,22 @@ class ChebyKanLayer:
     triple loop. ``coeffs`` and ``grad_coeffs`` view ``w`` and
     ``grad_w`` in the checkpoint order [input_dim, output_dim, degree+1].
     The contraction and the coefficient gradient run through
-    ``ndcore.matmul_tiles``, so their BLAS calls make at most
-    ``ndcore.GEMM_MACS`` multiply-adds per slab unless the bound allows
-    fewer than ``ndcore.GEMM_MIN_ROWS`` rows a tile: a batch-64 contraction
-    at 784x32 is two 32-row calls per slab, and the coefficient gradient at
-    784 inputs two 392-row ones. The input gradient is one call, which read
-    faster than tiles at every measured shape.
+    ``ndcore.matmul_tiles``, which bounds every product, in both modes: at
+    784x32 a batch-64 contraction is two 32-row calls per slab and a 55-row
+    eval block's one of 28 rows and one of 27, and the coefficient gradient
+    at 784 inputs is two 392-row calls. The input gradient is one call,
+    which read faster than tiles at every measured shape.
     ``forward`` builds and contracts the stack a block of rows at a time, by
-    ``ndcore.for_row_blocks``. In eval mode a block is at most
-    ``ndcore.gemm_rows(input_dim, output_dim)`` rows, if that is not None, so
-    its contraction is one call per slab, and holds at most
-    ``ndcore.BLOCK_BYTES`` of basis, or one row if that row's is bigger
-    (1.2 MB at degree 5 and 30,000 float64 inputs): 33 rows at 784x32 and
-    degree 5, 39 at degree 3. So the working set does not grow with the
-    batch size, where the whole stack at degree 5 is five times the input's
-    size. Each worker has its own stack;
-    each block runs the one-thread loop's ops and writes only its own rows
-    of the output, so the worker count changes no bit of it. In training
-    mode the block is the whole batch, because backward reads the whole
-    stack, and it runs on the calling thread; its contraction is tiled.
+    ``ndcore.for_row_blocks``; the blocks bound only the working set. In
+    eval mode a block holds at most ``ndcore.BLOCK_BYTES`` of basis, or one
+    row if that row's is bigger (1.2 MB at degree 5 and 30,000 float64
+    inputs): 33 float64 rows at 784 inputs and degree 5, 55 at degree 3.
+    So the working set does not grow with the batch size, where the whole
+    stack at degree 5 is five times the input's size. Each worker has its
+    own stack; each block runs the one-thread loop's ops and writes only its
+    own rows of the output, so the worker count changes no bit of it. In
+    training mode the block is the whole batch, because backward reads the
+    whole stack, and it runs on the calling thread.
 
     The input gradient reads the cached basis and the current ``w``. With
     xt = tanh(x), the identities (1-x^2) T'_k = k (T_{k-1} - x T_k) and
@@ -107,7 +104,6 @@ class ChebyKanLayer:
         n = self.degree
         y = np.empty((len(x), self.output_dim), dtype=x.dtype)
         block = ndcore.BLOCK_BYTES // (max(1, n) * self.input_dim * x.itemsize)
-        block = min(block, ndcore.gemm_rows(self.input_dim, self.output_dim) or block)
         rows = max(1, len(x) if self.training else block)
         shape = (n, min(rows, len(x)))
 

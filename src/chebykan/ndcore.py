@@ -7,15 +7,17 @@ on. Data and random draws are float64. A layer's precision, float32 or
 float64 (``check_dtype``), is fixed when it is built, and it coerces its
 inputs to it; float32 is not suitable for gradient checking.
 
-``matmul_tiles`` runs the KAN layer's contraction and coefficient gradient:
-it cuts the left operand's rows into tiles of at most ``GEMM_MACS``
+``matmul_tiles`` runs the KAN layer's contraction and coefficient gradient,
+in training and in eval mode alike, and is the one place that bounds a
+product: it cuts the left operand's rows into tiles of at most ``GEMM_MACS``
 multiply-adds per 2-D product, the size up to which the measured OpenBLAS
 build skips packing its operands, and makes one ``np.matmul`` call per tile,
 unless the bound allows fewer than ``GEMM_MIN_ROWS`` rows a tile. The tiles
 fix the summation order, so they are part of an output's bits.
 
 ``for_row_blocks`` is the package's one pooled loop: it cuts rows into fixed
-blocks and runs them on the calling thread and on one thread pool per process.
+blocks, which bound a worker's working set but not a product, and runs them
+on the calling thread and on one thread pool per process.
 Its two users, the eval-mode KAN forward and the tanh input normalization,
 write only a block's own rows, so how many workers run (at most
 ``mask_cpus()``) never changes an output bit.
@@ -117,40 +119,32 @@ class Rng:
 # builds and cores may switch elsewhere or not at all.
 GEMM_MACS = 1_000_000
 
-# The fewest rows of the cap that gemm_rows gives: where GEMM_MACS // (K*N)
-# is under it, matmul_tiles makes one call and the eval block takes no cap.
-# Every tile reads all of b, so many short tiles cost more than the packing
-# they skip. On the build above, in float64, the layer's forward contraction
-# at 784x1024 in one-row tiles took 8.4x as long as one call at batch 64,
-# and its coefficient gradient at 784x32 in forty 20-row tiles (batch 1,536)
-# 1.46x; 30-row tiles read 0.94-1.01x. Two tiles cost little more than one
-# call: at 784x32 (cap 39) a forward of 40-63 rows in two tiles of 20-32 rows
-# read 0.57-0.85x, and one of 256 or 1,024 rows in 37- or 38-row tiles 0.85x
-# and 0.81x. Even tiles hold more than half the cap.
+# The fewest rows a tile of matmul_tiles holds: where GEMM_MACS // (K*N) is
+# under it, the product is one call, however many rows. Every tile reads all
+# of b, so many short tiles cost more than the packing they skip. On the
+# build above, in float64, the layer's forward contraction at 784x1024 in
+# one-row tiles took 8.4x as long as one call at batch 64, and its
+# coefficient gradient at 784x32 in forty 20-row tiles (batch 1,536) 1.46x;
+# 30-row tiles read 0.94-1.01x. Two tiles cost little more than one call: at
+# 784x32 (cap 39) a forward of 40-63 rows in two tiles of 20-32 rows read
+# 0.57-0.85x, and one of 256 or 1,024 rows in 37- or 38-row tiles 0.85x and
+# 0.81x. Even tiles hold more than half the cap.
 GEMM_MIN_ROWS = 32
-
-
-def gemm_rows(k, n):
-    """The most rows of an [M, k] @ [k, n] product that one matmul_tiles call
-    makes: GEMM_MACS // (k * n), or None, no bound, if that is fewer than
-    GEMM_MIN_ROWS."""
-    cap = GEMM_MACS // max(1, k * n)
-    return cap if cap >= GEMM_MIN_ROWS else None
 
 
 def matmul_tiles(a, b, out):
     """Write a @ b into ``out`` by np.matmul calls over even tiles of the rows
     of ``a`` (its second-to-last axis) and of ``out``, and return ``out``.
 
-    ``b`` is not cut. With M rows and cap = gemm_rows(K, N), a product of
-    more than GEMM_MACS multiply-adds is cut into ceil(M / cap) tiles of
-    ceil(M / tiles) rows, the last one shorter; any other, or one whose cap
-    is None, is one call. The tiles depend only on the shapes. Operands
-    broadcast as np.matmul's do, so a stacked ``b`` may meet a 2-D ``a``."""
+    ``b`` is not cut. With M rows and cap = GEMM_MACS // (K * N), a product
+    of more than GEMM_MACS multiply-adds is cut into ceil(M / cap) tiles of
+    ceil(M / tiles) rows, the last one shorter, if cap is at least
+    GEMM_MIN_ROWS; any other is one call. The tiles depend only on the
+    shapes. Operands broadcast as np.matmul's do, so a stacked ``b`` may meet
+    a 2-D ``a``."""
     m, k = a.shape[-2:]
     n = b.shape[-1]
-    cap = None if m * k * n <= GEMM_MACS else gemm_rows(k, n)
-    if cap is None:
+    if m * k * n <= GEMM_MACS or (cap := GEMM_MACS // (k * n)) < GEMM_MIN_ROWS:
         return np.matmul(a, b, out=out)
     step = -(-m // -(-m // cap))  # ceil(m / cap) even tiles
     for lo in range(0, m, step):

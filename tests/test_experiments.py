@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,22 @@ def test_non_finite_split_raises_value_error_naming_it():
             train(cfg.build_model(), broken, ds, cfg)
         with pytest.raises(ValueError, match=f"test dataset has non-finite {name}"):
             train(cfg.build_model(), ds, broken, cfg)
+
+
+def test_features_that_are_not_a_matrix_raise_naming_the_split():
+    cfg = _small_cfg(widths=[1, 4, 1])
+    ds = _toy_regression(64)
+    for features in (ds.features[:, 0], ds.features[:, :, None]):
+        bad = Dataset(features=features, targets=ds.targets)
+        message = f"has features of shape {re.escape(str(features.shape))}, not a matrix"
+        for split, pair in (("train", (bad, ds)), ("test", (ds, bad))):
+            model = cfg.build_model()
+            before = model.flat_params.copy()
+            with pytest.raises(ValueError, match=f"the {split} dataset {message}"):
+                train(model, *pair, cfg)
+            np.testing.assert_array_equal(model.flat_params, before)
+        with pytest.raises(ValueError, match=f"the dataset {message}"):
+            evaluate(cfg.build_model(), bad, "regress")
 
 
 def test_answers_that_do_not_fit_the_features_raise_before_any_step():

@@ -28,12 +28,9 @@ def _filled_layer(in_dim, out_dim, degree, kind=F, seed=0, dtype=np.float64):
 
 def _eval_rows(layer):
     """The rows of one of ``layer``'s eval blocks: at most BLOCK_BYTES of
-    basis, and at most GEMM_MACS multiply-adds per slab's product unless that
-    is fewer than GEMM_MIN_ROWS rows."""
+    basis, or one row if that row's is bigger."""
     basis_row = max(1, layer.degree) * layer.input_dim * layer.w.itemsize
-    rows = BLOCK_BYTES // basis_row
-    tile = GEMM_MACS // (layer.input_dim * layer.output_dim)
-    return max(1, min(rows, tile) if tile >= GEMM_MIN_ROWS else rows)
+    return max(1, BLOCK_BYTES // basis_row)
 
 
 def _tile_rows(m, k, n):
@@ -63,8 +60,8 @@ def test_forward_shape_and_einsum_equivalence():
         np.testing.assert_allclose(y, expect, atol=1e-14 if f64 else 1e-5, err_msg=case)
         # eval mode builds the basis a block of rows at a time; a batch of
         # several blocks and a ragged tail, and an empty batch, match the
-        # training forward. At 784x4 BLOCK_BYTES bounds the block; at 784x32
-        # GEMM_MACS does, to 39 rows
+        # training forward. BLOCK_BYTES bounds the block at either width; at
+        # 784x32 matmul_tiles cuts a block's product into tiles
         for width in (4, 32):
             layer = _filled_layer(784, width, degree, kind, dtype=dtype)
             rows = _eval_rows(layer)
@@ -104,9 +101,8 @@ def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
     x = Rng(4, "x").uniform(-2.0, 2.0, (64, 784)).astype(dtype)
     # the layer's product runs in even row tiles of at most GEMM_MACS
     # multiply-adds, two of 32 rows here, so the reference makes the same
-    # plain np.matmul calls. The eval blocks, 39 rows and 25, match them
-    # bit for bit: under the bound, a row's bits do not depend on its call's
-    # row count, unless that count is 1
+    # plain np.matmul calls. The eval forward is one 64-row block, whose
+    # product is cut into the same tiles
     tiles = -(-64 // (GEMM_MACS // (784 * 32)))
     step = -(-64 // tiles)
     xt = np.tanh(x)
@@ -123,9 +119,9 @@ def test_first_kind_degree_one_layer_is_a_tanh_linear_layer(dtype):
 def test_every_product_follows_the_tile_rule(matmul_calls, degree, kind):
     # every BLAS call of forward and backward goes through np.matmul. At the
     # MNIST shapes, at batch 64 and 1,024, and at a 784x1024 layer at batch
-    # 64: the eval forward makes one call per block, on any worker; the
-    # training contraction and the coefficient gradient make _tile_rows's
-    # calls; the input gradient is one
+    # 64: the eval forward makes _tile_rows's calls for each block, on any
+    # worker, and the training contraction and the coefficient gradient for
+    # the whole batch; the input gradient is one call
     seen = []
     mnist = itertools.product(((784, 32), (32, 16), (16, 10)), (64, 1024))
     for (width_in, width_out), batch in [*mnist, ((784, 1024), 64)]:
@@ -136,8 +132,9 @@ def test_every_product_follows_the_tile_rule(matmul_calls, degree, kind):
         rows = _eval_rows(layer)
         layer.training = False
         layer.forward(x)
-        assert sorted(matmul_calls) == sorted((min(rows, batch - lo), width_in, width_out)
-                                              for lo in range(0, batch, rows)), case
+        assert sorted(matmul_calls) == sorted(
+            (r, width_in, width_out) for lo in range(0, batch, rows)
+            for r in _tile_rows(min(rows, batch - lo), width_in, width_out)), case
         del matmul_calls[:]
         layer.training = True
         layer.forward(x)
@@ -156,7 +153,7 @@ def test_every_product_follows_the_tile_rule(matmul_calls, degree, kind):
     assert {(32, 784, 32), (392, 64, 32), (784, 1024, 32)} <= set(seen)
     assert max(m * k * n for m, k, n in seen if (m, k, n) != (784, 1024, 32)) <= GEMM_MACS
     # at 784x1024 the bound allows one row a tile, so every product is one
-    # call and an eval block is BLOCK_BYTES's
+    # call, a 55-row eval block's too
     assert _eval_rows(_filled_layer(784, 1024, 3)) == BLOCK_BYTES // (3 * 784 * 8) == 55
 
 
@@ -169,8 +166,8 @@ def eight_cpus(monkeypatch):
 
 def _eval_case(kind, dtype, width=4):
     """A degree-3 784x``width`` layer in eval mode, a batch of eight full row
-    blocks and a ragged tail, and the block size: BLOCK_BYTES bounds it at
-    784x4 (55 rows, 111 in float32), GEMM_MACS at 784x32 (39 rows)."""
+    blocks and a ragged tail, and the block size, BLOCK_BYTES's at either
+    width: 55 rows, 111 in float32."""
     layer = _filled_layer(784, width, 3, kind, dtype=dtype)
     layer.training = False
     rows = _eval_rows(layer)
