@@ -54,14 +54,36 @@ class NormStats:
     std: np.ndarray = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus either regression targets or integer class labels."""
+    """Feature matrix plus either regression targets or integer class labels,
+    each checked when built, with a ValueError naming the field: features a
+    2-D float or integer array, labels one non-negative integer per feature
+    row, targets a 2-D float or integer array of one row per feature row.
+    Empty and answerless splits are legal; `experiments._objective` checks a
+    split against a model."""
 
     features: np.ndarray
     targets: np.ndarray = None
     labels: np.ndarray = None
     norm: NormStats = None
+
+    def __post_init__(self):
+        rows = None  # the features' count, which labels and targets must match
+        for name, a, ndim, kinds in (("features", self.features, 2, "fiu"),
+                                     ("labels", self.labels, 1, "iu"),
+                                     ("targets", self.targets, 2, "fiu")):
+            if a is None and rows is not None:
+                continue
+            if not (isinstance(a, np.ndarray) and a.dtype.kind in kinds and a.ndim == ndim
+                    and rows in (None, len(a))):
+                got = f"shape {a.shape}, dtype {a.dtype}" if isinstance(a, np.ndarray) else type(a)
+                of = "integers" if kinds == "iu" else "floats or integers"
+                count = "" if rows is None else f", {rows} rows (one per feature row)"
+                raise ValueError(f"{name} must be a {ndim}-D array of {of}{count}; got {got}")
+            rows = len(a)
+        if rows and self.labels is not None and self.labels.min() < 0:
+            raise ValueError(f"labels must be non-negative, got {self.labels.min()}")
 
     def __len__(self):
         return self.features.shape[0]
@@ -186,15 +208,19 @@ def apply_norm(ds, scheme, stats=None):
     the training split's fitted stats to transform a test split identically.
     Min-max maps the fitted [min, max] of each feature onto [-1, 1] (constant
     features map to 0); standardize uses (x - mean)/(std + 1e-8); tanh needs
-    no statistics. Tanh fills one float64 array in row blocks of at most
-    ndcore.BLOCK_BYTES of output (one row, if a row is bigger), on every CPU
-    in the mask (``ndcore.for_row_blocks``). Each block is np.tanh of the
+    no statistics. Stats fitted for another scheme, or on features of another
+    width, raise ValueError. Tanh fills one float64 array in row blocks of at
+    most ndcore.BLOCK_BYTES of output (one row, if a row is bigger), on every
+    CPU in the mask (``ndcore.for_row_blocks``). Each block is np.tanh of the
     same rows, so the output is np.tanh(features).astype(np.float64), bit
     for bit, on any number of cores.
     """
     f = ds.features
     if stats is not None and stats.scheme is not scheme:
         raise ValueError(f"stats were fitted for {stats.scheme}, not {scheme}")
+    fitted = None if stats is None else (stats.lo if scheme is NormScheme.MINMAX else stats.mean)
+    if fitted is not None and np.shape(fitted) != f.shape[1:]:
+        raise ValueError(f"stats were fitted on width {np.size(fitted)}, not {f.shape[1]}")
     if scheme is NormScheme.TANH:
         out = np.empty(f.shape)
         rows = max(1, ndcore.BLOCK_BYTES // max(1, math.prod(f.shape[1:]) * out.itemsize))

@@ -118,39 +118,40 @@ class RunRecord:
                 + [f"# wall_time_s = {self.wall_time_s!r}"])
 
 
-def _objective(ds, name="the dataset"):
-    """The loss for `ds` and the answers it scores against: softmax
-    cross-entropy on integer labels, else mean squared error on targets.
-    ValueError, naming `name`, if its features are not a matrix, if `ds` is
-    empty or has neither, if its labels are not integers or not one per
-    feature row, or if its targets are not a matrix with one row per feature
-    row."""
-    if ds.features.ndim != 2:
-        raise ValueError(f"{name} has features of shape {ds.features.shape}, "
-                         f"not a matrix, (rows, width)")
-    n = len(ds)
-    if n == 0:
+def _objective(model, ds, name="the dataset"):
+    """(loss, answers) for `ds`: softmax cross-entropy on labels, else mean
+    squared error on targets. The one check of a split against a model:
+    ValueError naming `name` if `ds` is empty, answerless or not finite, and
+    naming `widths` unless the model's first width is the feature width and
+    its last the target width or above every label."""
+    if len(ds) == 0:
         raise ValueError(f"{name} is empty")
-    if ds.labels is not None:
-        if not np.issubdtype(ds.labels.dtype, np.integer):
-            raise ValueError(f"{name} has labels of dtype {ds.labels.dtype}, not integers")
-        if ds.labels.shape != (n,):
-            raise ValueError(f"{name} has labels of shape {ds.labels.shape}, "
-                             f"not one per feature row, ({n},)")
-        return softmax_cross_entropy, ds.labels
-    if ds.targets is None:
+    if ds.labels is None and ds.targets is None:
         raise ValueError(f"{name} has neither labels nor targets")
-    if ds.targets.ndim != 2 or len(ds.targets) != n:
-        raise ValueError(f"{name} has targets of shape {ds.targets.shape}, "
-                         f"not one row per feature row, ({n}, width)")
+    for field, a in (("features", ds.features), ("targets", ds.targets)):
+        # min and max propagate NaN and expose +/-inf without a mask array
+        if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError(f"{name} has non-finite {field}")
+    first, last = model.layers[0].input_dim, model.layers[-1].output_dim
+    if first != ds.features.shape[1]:
+        raise ValueError(f"widths must start with the feature width "
+                         f"{ds.features.shape[1]}, got {first}")
+    if ds.labels is not None:
+        if last <= ds.labels.max():
+            raise ValueError(f"widths must end with more than {ds.labels.max()} "
+                             f"outputs (the largest label), got {last}")
+        return softmax_cross_entropy, ds.labels
+    if last != ds.targets.shape[1]:
+        raise ValueError(f"widths must end with the target width "
+                         f"{ds.targets.shape[1]}, got {last}")
     return mse_loss, ds.targets
 
 
-def _loss_and_metric(model, ds):
-    """Loss and metric of the whole split from one eval-mode forward (the layers
-    bound its working set), then the model back in its old mode, also when the
-    forward raises; the metric is accuracy on labels and the loss on targets."""
-    loss_fn, answers = _objective(ds)
+def _loss_and_metric(model, ds, objective):
+    """Loss and metric (accuracy on labels, the loss on targets) of `ds` under
+    `objective`, `_objective`'s result for it, from one eval-mode forward,
+    then the model back in its old mode, also when the forward raises."""
+    loss_fn, answers = objective
     was_training = model.training
     model.eval()
     try:
@@ -163,15 +164,13 @@ def _loss_and_metric(model, ds):
 
 def evaluate(model, ds, task):
     """classify -> argmax-match fraction (ties go to the lower class index),
-    regress -> mean squared error, both from one eval forward over the whole
-    split. Labels need classify, targets regress. ValueError if the split's
-    features are not a matrix, if it is empty or answerless, or if its labels
-    or targets do not fit its features."""
-    _objective(ds)
+    regress -> mean squared error, both from one eval forward over the split,
+    which `_objective` checks against the model first, as for `train`."""
+    objective = _objective(model, ds)
     fits = "classify" if ds.labels is not None else "regress"
     if task != fits:
         raise ValueError(f"task must be {fits!r} for this dataset, got {task!r}")
-    return _loss_and_metric(model, ds)[1]
+    return _loss_and_metric(model, ds, objective)[1]
 
 
 # an overflow in a step or an evaluation ends in a non-finite loss, which
@@ -180,45 +179,20 @@ def evaluate(model, ds, task):
 def train(model, train_ds, test_ds, cfg):
     """Minibatch training; returns per-epoch rows plus a final summary.
 
-    The objective comes from the data (cross-entropy and accuracy on labels,
-    mean squared error on targets), the architecture from the model, and
-    only the schedule from `cfg`: its epochs, batch_size, lr, optimizer,
-    seed and max_steps, which `TrainConfig.validate` checks; its
-    architecture fields are `build`'s to check. The model is left in training
-    mode, whatever its mode before. Shuffle order comes from the (seed,
-    "train/shuffle") substream, so a rerun with the same config reproduces
-    the trajectory exactly. Each train_loss is the mean over the rows its
-    epoch trained on. DivergenceError names the epoch and batch of a
-    non-finite batch loss, and the epoch and split of a non-finite loss in an
-    epoch's row. epochs=0 or max_steps=0 just evaluates the initialized model
-    (a single epoch-0 row). Before any step, ValueError names the split if a
-    split's features are not a matrix, or if it is empty, has neither labels
-    nor targets, has labels that are not one non-negative integer per
-    feature row, has targets that are not a matrix with one row per feature
-    row, or has non-finite features or targets, and names `widths` unless the
-    model's first width is each split's feature width and its last the
-    target width or above the labels.
+    Before any step, `_objective` checks each split against the model and
+    picks its loss. The architecture comes from the model, and only the
+    schedule from `cfg` (epochs, batch_size, lr, optimizer, seed and
+    max_steps, which `TrainConfig.validate` checks). The model is left in
+    training mode. Shuffle order comes from the (seed, "train/shuffle")
+    substream, so a rerun with the same config reproduces the trajectory
+    exactly. Each train_loss is the mean over the rows its epoch trained on.
+    DivergenceError names the epoch and batch of a non-finite batch loss,
+    and the epoch and split of a non-finite loss in an epoch's row. epochs=0
+    or max_steps=0 just evaluates the initialized model (one epoch-0 row).
     """
     cfg.validate()
-    first, last = model.layers[0].input_dim, model.layers[-1].output_dim
-    for split, ds in (("train", train_ds), ("test", test_ds)):
-        _objective(ds, f"the {split} dataset")  # ValueError on a split with no fitting answers
-        for name, a in (("features", ds.features), ("targets", ds.targets)):
-            # min and max propagate NaN and expose +/-inf without a mask array
-            if a is not None and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-                raise ValueError(f"the {split} dataset has non-finite {name}")
-        if ds.labels is not None and ds.labels.min() < 0:
-            raise ValueError(f"the {split} dataset has a negative label, {ds.labels.min()}")
-        if first != ds.features.shape[1]:
-            raise ValueError(f"widths must start with the feature width "
-                             f"{ds.features.shape[1]}, got {first}")
-        if ds.labels is not None and last <= ds.labels.max():
-            raise ValueError(f"widths must end with more than {ds.labels.max()} "
-                             f"outputs (the largest label), got {last}")
-        if ds.labels is None and last != ds.targets.shape[1]:
-            raise ValueError(f"widths must end with the target width "
-                             f"{ds.targets.shape[1]}, got {last}")
-    loss_fn, answers = _objective(train_ds)
+    fit = loss_fn, answers = _objective(model, train_ds, "the train dataset")
+    test_fit = _objective(model, test_ds, "the test dataset")
     rng = Rng(cfg.seed, "train/shuffle")
     opt = cfg.make_optimizer()
     t0 = time.perf_counter()
@@ -235,20 +209,18 @@ def train(model, train_ds, test_ds, cfg):
             idx = order[start:start + cfg.batch_size]
             loss, dLdy = loss_fn(model.forward(train_ds.features[idx]), answers[idx])
             if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, batch {bi}"
-                )
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}, batch {bi}")
             model.backward(dLdy, input_grad=False)
             opt.step(model.flat_params, model.flat_grads)
             loss_sum += loss * len(idx)
             steps_left -= 1
             if steps_left == 0:
                 break
-        test_loss, metric = _loss_and_metric(model, test_ds)
+        test_loss, metric = _loss_and_metric(model, test_ds, test_fit)
         rows.append(EpochRow(epoch, loss_sum / (start + len(idx)), test_loss, metric))
     if not rows:  # no epoch ran: evaluate the initialized model
-        train_loss, _ = _loss_and_metric(model, train_ds)
-        test_loss, metric = _loss_and_metric(model, test_ds)
+        train_loss, _ = _loss_and_metric(model, train_ds, fit)
+        test_loss, metric = _loss_and_metric(model, test_ds, test_fit)
         rows.append(EpochRow(0, train_loss, test_loss, metric))
     wall = time.perf_counter() - t0
     return RunRecord(rows=rows, final_metric=rows[-1].metric, wall_time_s=wall)

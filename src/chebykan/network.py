@@ -161,6 +161,7 @@ def save_network(seq, spec, path):
     the tensors layer by layer (coefficients [input_dim, output_dim,
     degree+1] per KAN layer, gamma then beta per LayerNorm), each flattened
     row-major. A spec that does not describe seq's layers raises ValueError.
+    The header stores no dtype: a float32 model is written, and reloads, as float64.
     """
     if _layout(seq.layers) != _layout(_layers(spec)):
         raise ValueError(f"network layers do not match spec {spec.arch_string()}")
@@ -171,9 +172,9 @@ def save_network(seq, spec, path):
 
 
 def load_network(path):
-    """Rebuild the (Sequential, ArchSpec) pair written by save_network. Any
-    other header, a stream of the wrong length or a non-finite value raises
-    ValueError naming the path."""
+    """The (Sequential, ArchSpec) pair save_network wrote, rebuilt in float64
+    (so a float32 model's outputs change). Any other header, a stream of the
+    wrong length or a non-finite value raises ValueError naming the path."""
     with open(path, "rb") as fh:
         header = fh.readline()
         blob = fh.read()

@@ -229,6 +229,14 @@ def test_norm_stats_fit_on_train_reused_on_test():
         apply_norm(test, NormScheme.STANDARDIZE, stats=tr.norm)
 
 
+def test_norm_stats_fitted_on_another_width_raise_naming_both():
+    two = Dataset(features=Rng(0, "w").uniform(-1.0, 1.0, (4, 2)))
+    for scheme, width in ((NormScheme.MINMAX, 5), (NormScheme.STANDARDIZE, 1)):
+        stats = apply_norm(two, scheme).norm
+        with pytest.raises(ValueError, match=f"fitted on width 2, not {width}"):
+            apply_norm(Dataset(features=np.zeros((3, width))), scheme, stats=stats)
+
+
 def test_standardize_and_tanh():
     feats = Rng(0, "n").normal(5.0, 3.0, (200, 4))
     ds = apply_norm(Dataset(features=feats), NormScheme.STANDARDIZE)

@@ -12,7 +12,7 @@ from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
                                   grad_check, run_ablation, train)
 from chebykan.layers import ChebyKanLayer, InitMethod
 from chebykan.ndcore import BLOCK_BYTES, Rng, ShapeError
-from chebykan.network import ArchSpec, build, mnist_arch, param_count
+from chebykan.network import ArchSpec, Sequential, build, mnist_arch, param_count
 from chebykan.optim import mse_loss, softmax_cross_entropy
 from chebykan.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS
 
@@ -166,70 +166,47 @@ def test_non_finite_split_raises_value_error_naming_it():
 
 
 def test_features_that_are_not_a_matrix_raise_naming_the_split():
-    cfg = _small_cfg(widths=[1, 4, 1])
+    # a Dataset checks its own fields when it is built, so no split with
+    # such features reaches train or evaluate
     ds = _toy_regression(64)
     for features in (ds.features[:, 0], ds.features[:, :, None]):
-        bad = Dataset(features=features, targets=ds.targets)
-        message = f"has features of shape {re.escape(str(features.shape))}, not a matrix"
-        for split, pair in (("train", (bad, ds)), ("test", (ds, bad))):
-            model = cfg.build_model()
-            before = model.flat_params.copy()
-            with pytest.raises(ValueError, match=f"the {split} dataset {message}"):
-                train(model, *pair, cfg)
-            np.testing.assert_array_equal(model.flat_params, before)
-        with pytest.raises(ValueError, match=f"the dataset {message}"):
-            evaluate(cfg.build_model(), bad, "regress")
+        message = rf"features must be a 2-D array .*; got shape {re.escape(str(features.shape))}"
+        with pytest.raises(ValueError, match=message):
+            Dataset(features=features, targets=ds.targets)
 
 
 def test_answers_that_do_not_fit_the_features_raise_before_any_step():
-    cfg = _small_cfg()
     ds = _toy_regression()
     n = len(ds)
     labels = np.arange(n) % 3
-    digits = Dataset(features=ds.features, labels=labels)
-    for good, bad, message in (
-            (ds, Dataset(features=ds.features, targets=ds.targets[:, 0]),
-             rf"targets of shape \({n},\), not one row per feature row"),
-            (ds, Dataset(features=ds.features, targets=ds.targets[:7]),
-             r"targets of shape \(7, 1\), not one row"),
-            (ds, Dataset(features=ds.features, targets=np.vstack([ds.targets] * 2)),
-             rf"targets of shape \({2 * n}, 1\), not one row"),
-            (digits, Dataset(features=ds.features, labels=labels.astype(float)),
-             "labels of dtype float64, not integers"),
-            (digits, Dataset(features=ds.features, labels=labels[:, None]),
-             rf"labels of shape \({n}, 1\), not one per feature row"),
-            (digits, Dataset(features=ds.features, labels=labels[:7]),
-             r"labels of shape \(7,\), not one per feature row"),
-            (digits, Dataset(features=ds.features, labels=np.tile(labels, 2)),
-             rf"labels of shape \({2 * n},\), not one per feature row"),
-            (digits, Dataset(features=ds.features, labels=labels - 1),
-             "a negative label, -1"),
+    rows = rf"{n} rows \(one per feature row\); got shape"
+    for answers, message in (
+            (dict(targets=ds.targets[:, 0]), rf"targets must be a 2-D .*{rows} \({n},\)"),
+            (dict(targets=ds.targets[:7]), rf"targets .*{rows} \(7, 1\)"),
+            (dict(targets=np.vstack([ds.targets] * 2)), rf"targets .*{rows} \({2 * n}, 1\)"),
+            (dict(labels=labels.astype(float)), "labels must be a 1-D array of integers"
+                                                ".*, dtype float64"),
+            (dict(labels=labels[:, None]), rf"labels must be a 1-D .*{rows} \({n}, 1\)"),
+            (dict(labels=labels[:7]), rf"labels .*{rows} \(7,\)"),
+            (dict(labels=np.tile(labels, 2)), rf"labels .*{rows} \({2 * n},\)"),
+            (dict(labels=labels - 1), "labels must be non-negative, got -1"),
     ):
-        width = 1 if good is ds else 3
-        for split, pair in (("train", (bad, good)), ("test", (good, bad))):
-            model = _small_cfg(widths=[1, 8, width]).build_model()
-            before = model.flat_params.copy()
-            with pytest.raises(ValueError, match=f"the {split} dataset has {message}"):
-                train(model, *pair, cfg)
-            np.testing.assert_array_equal(model.flat_params, before)
+        with pytest.raises(ValueError, match=message):
+            Dataset(features=ds.features, **answers)
 
 
 def test_evaluate_rejects_answers_that_do_not_fit_the_features():
-    model = _small_cfg(widths=[1, 8, 3]).build_model()
+    # evaluate takes only a Dataset, which rejects these when it is built
     ds = _toy_regression(32)
     labels = np.arange(32) % 3
-    for bad, task, message in (
-            (Dataset(features=ds.features, labels=labels.astype(np.float32)), "classify",
-             "labels of dtype float32, not integers"),
-            (Dataset(features=ds.features, labels=labels.astype(bool)), "classify",
-             "labels of dtype bool, not integers"),
-            (Dataset(features=ds.features, labels=labels[:7]), "classify",
-             r"labels of shape \(7,\)"),
-            (Dataset(features=ds.features, targets=ds.targets[:7]), "regress",
-             r"targets of shape \(7, 1\)"),
+    for answers, message in (
+            (dict(labels=labels.astype(np.float32)), "labels .*, dtype float32"),
+            (dict(labels=labels.astype(bool)), "labels .*, dtype bool"),
+            (dict(labels=labels[:7]), r"labels .* shape \(7,\)"),
+            (dict(targets=ds.targets[:7]), r"targets .* shape \(7, 1\)"),
     ):
-        with pytest.raises(ValueError, match=f"the dataset has {message}"):
-            evaluate(model, bad, task)
+        with pytest.raises(ValueError, match=message):
+            Dataset(features=ds.features, **answers)
 
 
 def test_widths_that_do_not_fit_the_data_raise_before_any_step():
@@ -290,23 +267,13 @@ def test_config_validation():
 
 
 def test_evaluate_constant_classifier_on_balanced_set():
-    class Constant:
-        training = False
-
-        def train(self, mode=True):
-            self.training = mode
-
-        def eval(self):
-            self.train(False)
-
-        def forward(self, x):
-            out = np.zeros((len(x), 10))
-            out[:, 4] = 1.0
-            return out
-
+    # a degree-0 layer ignores its input: every row's logits are its one
+    # coefficient row, here class 4 alone
+    model = Sequential([ChebyKanLayer(3, 10, 0)])
+    model.layers[0].w[0, 0, 4] = 1.0
     feats = np.zeros((100, 3))
     labels = np.repeat(np.arange(10), 10)
-    acc = evaluate(Constant(), Dataset(features=feats, labels=labels), "classify")
+    acc = evaluate(model, Dataset(features=feats, labels=labels), "classify")
     assert acc == 0.1
 
 
@@ -325,11 +292,17 @@ def test_evaluate_regression_zero_on_exact_targets():
         evaluate(model, labelled, "regress")
 
 
-def test_evaluate_restores_the_mode_when_a_forward_raises():
+def test_evaluate_restores_the_mode_when_a_forward_raises(monkeypatch):
     model = _small_cfg(widths=[3, 4, 1]).build_model()  # built in training mode
-    wide = Dataset(features=np.zeros((8, 5)), targets=np.zeros((8, 1)))
-    with pytest.raises(ShapeError):
-        evaluate(model, wide, "regress")
+    ds = Dataset(features=np.zeros((8, 3)), targets=np.zeros((8, 1)))
+
+    def failing(x):
+        raise ShapeError("forward failed")
+
+    monkeypatch.setattr(model.layers[-1], "forward", failing)
+    with pytest.raises(ShapeError, match="forward failed"):
+        evaluate(model, ds, "regress")
+    monkeypatch.undo()
     assert model.training and all(layer.training for layer in model.layers)
     model.forward(np.zeros((2, 3)))
     model.backward(np.ones((2, 1)))  # needs the training cache

@@ -9,7 +9,9 @@ check grad_check also runs.
 It also round-trips every swept architecture through a checkpoint, and feeds
 fuzzed checkpoints and IDX files to the loaders, which must reject each one
 with their documented error, and hostile config values to the CLI, which
-must end each run in a documented exit code.
+must end each run in a documented exit code, and malformed splits to
+`train` and `evaluate`, which must reject each one with a ValueError naming
+the field or `widths`.
 """
 
 import re
@@ -20,10 +22,11 @@ import pytest
 
 from chebykan import cli
 from chebykan.chebyshev import PolyKind, eval_basis, eval_basis_derivative
-from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS,
+from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS, Dataset,
                            IdxFormatError, idx_header_bytes, load_mnist_idx,
                            write_idx)
-from chebykan.experiments import _directional_check, _unit_directions
+from chebykan.experiments import (TrainConfig, _directional_check, _unit_directions,
+                                  evaluate, train)
 from chebykan.layers import InitMethod
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, load_network, save_network
@@ -225,3 +228,50 @@ def test_fuzzed_idx_file_exits_2(tmp_path, synth_mnist_dir, capsys):
     assert cli.main(["mnist", "--data-dir", str(data), "--epochs", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {data / TRAIN_LABELS}")
+
+
+def _malformed_splits(r):
+    """(field, split, widths, task) per malformed split drawn from `r`:
+    the field or `widths` its ValueError must name, a zero-argument
+    constructor of the split, the widths of a model it is fed to, and the
+    task `evaluate` takes it with."""
+    n, width, classes = r.integers(2, 9), r.integers(1, 4), r.integers(2, 5)
+    x = r.uniform(-2.0, 2.0, (n, width))
+    y = r.uniform(-2.0, 2.0, (n, 1))
+    labels = r.permutation(n) % classes
+    bad_x, bad_y = x.copy(), y.copy()
+    row, value = r.integers(0, n), (np.nan, np.inf, -np.inf)[r.integers(0, 3)]
+    bad_x[row, r.integers(0, width)] = bad_y[row, 0] = value
+    regress, classify = [width, 3, 1], [width, 3, classes]
+    for features in (x.tolist(), x.astype(object), x.astype(str), x + 1j * x, x > 0):
+        yield "features", lambda f=features: Dataset(features=f, targets=y), regress, "regress"
+    yield "targets", lambda: Dataset(features=x, targets=y + 1j * y), regress, "regress"
+    yield "targets", lambda: Dataset(features=x, targets=y.tolist()), regress, "regress"
+    yield "labels", lambda: Dataset(features=x, labels=labels.tolist()), classify, "classify"
+    yield "features", lambda: Dataset(features=bad_x, targets=y), regress, "regress"
+    yield "targets", lambda: Dataset(features=x, targets=bad_y), regress, "regress"
+    yield "widths", lambda: Dataset(features=x, targets=y), [width + 1, 3, 1], "regress"
+    yield "widths", lambda: Dataset(features=x, labels=labels), [width, 3, labels.max()], "classify"
+
+
+def test_malformed_splits_raise_value_error_naming_the_field():
+    """Through `train`, as either split, and through `evaluate`, a split with
+    a field of the wrong type, dtype or values, or one that does not fit
+    the model, raises ValueError naming the field or `widths` before the
+    model's parameters change."""
+    root = Rng(36, "fuzz/api")
+    cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2)
+    for draw in range(6):
+        r = root.substream(str(draw))
+        for field, split, widths, task in _malformed_splits(r):
+            model = build(ArchSpec(widths, 2), InitMethod.LECUN, r.substream("init"))
+            # a well-formed split the model fits, so each call fails on the
+            # malformed split alone
+            good = Dataset(features=np.zeros((2, widths[0])), targets=np.zeros((2, widths[-1])))
+            before = model.flat_params.copy()
+            for call in (lambda: train(model, split(), good, cfg),
+                         lambda: train(model, good, split(), cfg),
+                         lambda: evaluate(model, split(), task)):
+                with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                    call()
+            np.testing.assert_array_equal(model.flat_params, before)
