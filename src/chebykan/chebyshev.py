@@ -19,19 +19,12 @@ from enum import Enum
 
 import numpy as np
 
+from .ndcore import check_int, check_type
+
 
 class PolyKind(Enum):
     FIRST = "first"
     SECOND = "second"
-
-
-def check_kind(kind):
-    """``kind``, or ValueError unless it is a PolyKind member: code tests it
-    for a member by identity, so a string such as "second" would pass as
-    neither kind."""
-    if not isinstance(kind, PolyKind):
-        raise ValueError(f"kind must be a PolyKind, got {kind!r}")
-    return kind
 
 
 def _basis_stack(x, degree, kind):
@@ -64,11 +57,10 @@ def _fill_basis(t, kind):
 
 def eval_basis(x, degree, kind=PolyKind.FIRST):
     """[P_0(x), ..., P_degree(x)] for a scalar x, by the three-term recurrence."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    degree = check_int("degree", degree, 0)
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    return _basis_stack([float(x)], degree, check_kind(kind))[:, 0]
+    return _basis_stack([float(x)], degree, check_type("kind", kind, PolyKind))[:, 0]
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
@@ -91,16 +83,14 @@ def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):
 
 def roots(n):
     """The n zeros of T_n: cos((2k+1) pi / (2n)), k = 0..n-1, strictly decreasing."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_int("n", n, 1)
     k = np.arange(n, dtype=np.float64)
     return np.cos((2.0 * k + 1.0) / (2.0 * n) * np.pi)
 
 
 def extrema(n):
     """The n+1 extrema of T_n: cos(k pi / n), k = 0..n, where T_n alternates +/-1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_int("n", n, 1)
     k = np.arange(n + 1, dtype=np.float64)
     return np.cos(k * np.pi / n)
 
@@ -113,9 +103,8 @@ def gauss_chebyshev(nodes, kind=PolyKind.FIRST):
     weights (pi/(N+1)) sin^2(k pi/(N+1)), for the weight sqrt(1-x^2). Both are
     exact for polynomial integrands of degree < 2N.
     """
-    if nodes < 1:
-        raise ValueError(f"nodes must be >= 1, got {nodes}")
-    if check_kind(kind) is PolyKind.FIRST:
+    nodes = check_int("nodes", nodes, 1)
+    if check_type("kind", kind, PolyKind) is PolyKind.FIRST:
         k = np.arange(nodes, dtype=np.float64)
         x = np.cos((2.0 * k + 1.0) * np.pi / (2.0 * nodes))
         w = np.full(nodes, np.pi / nodes)
@@ -130,14 +119,9 @@ def orthogonality_integral(m, n, kind=PolyKind.FIRST, nodes=64):
     """Weighted inner product of P_m and P_n over [-1, 1] by matching quadrature.
 
     For the first kind this is 0 (m != n), pi/2 (m = n != 0), or pi (m = n = 0);
-    for the second kind, 0 (m != n) or pi/2 (m = n).
+    for the second kind, 0 (m != n) or pi/2 (m = n); exact for nodes >= m+n+1.
     """
-    if m < 0 or n < 0:
-        raise ValueError("polynomial indices must be >= 0")
-    if nodes < m + n + 1:
-        raise ValueError(
-            f"need at least m+n+1 = {m + n + 1} nodes for an exact product, got {nodes}"
-        )
-    x, w = gauss_chebyshev(nodes, kind)
+    m, n = check_int("m", m, 0), check_int("n", n, 0)
+    x, w = gauss_chebyshev(check_int("nodes", nodes, m + n + 1), kind)
     vals = _basis_stack(x, max(m, n), kind)
     return float(np.sum(w * vals[m] * vals[n]))

@@ -214,13 +214,10 @@ def config_lines(command, resolved):
 
 
 def _train_config(resolved):
-    """The run's TrainConfig, validated (architecture included) before any
-    data is read or step taken."""
+    """The run's TrainConfig, which checks every field (architecture
+    included) when built, before any data is read or step taken."""
     names = {f.name for f in fields(TrainConfig)}
-    cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in names})
-    cfg.validate()
-    cfg.arch().validate()
-    return cfg
+    return TrainConfig(**{k: v for k, v in resolved.items() if k in names})
 
 
 def _blas_threads_line():

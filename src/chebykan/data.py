@@ -8,6 +8,7 @@ selectable normalization schemes, so the schemes compete on equal footing.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ndcore
-from .ndcore import Rng
+from .ndcore import Rng, check_int, check_seed
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -150,8 +151,8 @@ def write_idx(path, arr):
 
 
 def _check_subset(subset):
-    if subset is not None and subset < 1:
-        raise ValueError(f"subset must be >= 1, got {subset}")
+    if subset is not None:
+        check_int("subset", subset, 1)
 
 
 def load_mnist_idx(images_path, labels_path, subset=None):
@@ -208,12 +209,12 @@ def apply_norm(ds, scheme, stats=None):
     the training split's fitted stats to transform a test split identically.
     Min-max maps the fitted [min, max] of each feature onto [-1, 1] (constant
     features map to 0); standardize uses (x - mean)/(std + 1e-8); tanh needs
-    no statistics. Stats fitted for another scheme, or on features of another
-    width, raise ValueError. Tanh fills one float64 array in row blocks of at
-    most ndcore.BLOCK_BYTES of output (one row, if a row is bigger), on every
-    CPU in the mask (``ndcore.for_row_blocks``). Each block is np.tanh of the
-    same rows, so the output is np.tanh(features).astype(np.float64), bit
-    for bit, on any number of cores.
+    no statistics. Stats fitted for another scheme or width, or fitted on an
+    empty split (tanh needs none), raise ValueError. Tanh fills one float64
+    array in row blocks of at most ndcore.BLOCK_BYTES of output (one row, if
+    a row is bigger), on every CPU in the mask (``ndcore.for_row_blocks``).
+    Each block is np.tanh of the same rows, so the output is
+    np.tanh(features).astype(np.float64), bit for bit, on any number of cores.
     """
     f = ds.features
     if stats is not None and stats.scheme is not scheme:
@@ -221,6 +222,8 @@ def apply_norm(ds, scheme, stats=None):
     fitted = None if stats is None else (stats.lo if scheme is NormScheme.MINMAX else stats.mean)
     if fitted is not None and np.shape(fitted) != f.shape[1:]:
         raise ValueError(f"stats were fitted on width {np.size(fitted)}, not {f.shape[1]}")
+    if stats is None and not len(f) and scheme in (NormScheme.MINMAX, NormScheme.STANDARDIZE):
+        raise ValueError(f"{scheme.value} stats cannot be fitted on an empty split")
     if scheme is NormScheme.TANH:
         out = np.empty(f.shape)
         rows = max(1, ndcore.BLOCK_BYTES // max(1, math.prod(f.shape[1:]) * out.itemsize))
@@ -264,10 +267,9 @@ TARGETS = {
 
 def sample_function(target, lo, hi, n, rng):
     """n uniform samples of a named 1-D target function on [lo, hi]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"lo and hi must be finite, got [{lo}, {hi}]")
+    n = check_int("n", n, 1)
+    if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in (lo, hi)):
+        raise ValueError(f"lo and hi must be finite, got [{lo!r}, {hi!r}]")
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if not math.isfinite(float(hi) - float(lo)):  # Python floats overflow without a warning
@@ -282,9 +284,11 @@ def sample_function(target, lo, hi, n, rng):
     return Dataset(features=x, targets=y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FractalParams:
-    """Noisy radial surface: iterated additive noise on a smooth seed."""
+    """Noisy radial surface: iterated additive noise on a smooth seed, each
+    field checked when built, with a ValueError naming it: alpha, b and extent
+    finite reals, extent > 0, integers iters >= 0 and grid >= 2, and a seed."""
 
     alpha: float = 0.7
     b: float = 0.001
@@ -293,14 +297,13 @@ class FractalParams:
     extent: float = 2.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("alpha", "b", "extent"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.iters < 0:
-            raise ValueError(f"iters must be >= 0, got {self.iters}")
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
+            if not (isinstance(value := getattr(self, name), numbers.Real) and np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_int("iters", self.iters, 0)
+        check_int("grid", self.grid, 2)
+        check_seed(self.seed)
         if self.extent <= 0:
             raise ValueError(f"extent must be > 0, got {self.extent}")
 
@@ -318,7 +321,6 @@ def fractal_grid(params):
     the substream (seed, i), so identical params give bitwise-identical z and
     b = 0 degenerates to the exact seed surface.
     """
-    params.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
         axis = np.linspace(-params.extent, params.extent, params.grid)
         gx, gy = np.meshgrid(axis, axis, indexing="xy")

@@ -9,6 +9,7 @@ formats those CSVs as lines and writes no file.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +19,7 @@ from . import network
 from .chebyshev import PolyKind, _basis_stack
 from .data import NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
-from .ndcore import Rng, check_seed
+from .ndcore import Rng, check_int, check_seed, check_type
 from .network import ArchSpec, build
 from .optim import Adam, mse_loss, softmax_cross_entropy
 
@@ -48,8 +49,12 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings, each checked when built, with a ValueError naming it
+    (the architecture fields by the spec `arch()` builds). `train` reads the
+    schedule: epochs, batch_size, lr, optimizer, seed and max_steps."""
+
     epochs: int = 10
     batch_size: int = 64
     lr: float = 1e-3
@@ -64,19 +69,18 @@ class TrainConfig:
     max_steps: int = None  # optional hard cap on optimizer steps
     f32: bool = False  # build the model in float32, else float64
 
-    def validate(self):
-        """Reject schedule values no run can use; each message names the
-        offending field. `build` checks the architecture fields."""
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+    def __post_init__(self):
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        if self.max_steps is not None:
+            check_int("max_steps", self.max_steps, 0)
         if self.optimizer != "adam":
             raise ValueError(f"optimizer must be 'adam', got {self.optimizer!r}")
         self.make_optimizer()  # its constructor checks lr
         check_seed(self.seed)
+        for name, kind in dict(init=InitMethod, norm=NormScheme, f32=bool, layernorm=bool).items():
+            check_type(name, getattr(self, name), kind)
+        self.arch()  # checks widths, degree and kind
 
     def make_optimizer(self):
         """A fresh optimizer of this schedule, the one `train` steps with."""
@@ -88,7 +92,7 @@ class TrainConfig:
                      np.float32 if self.f32 else np.float64)
 
     def arch(self):
-        return ArchSpec(widths=list(self.widths), degree=self.degree,
+        return ArchSpec(widths=self.widths, degree=self.degree,
                         kind=self.kind, layernorm_between=self.layernorm)
 
 
@@ -182,7 +186,7 @@ def train(model, train_ds, test_ds, cfg):
     Before any step, `_objective` checks each split against the model and
     picks its loss. The architecture comes from the model, and only the
     schedule from `cfg` (epochs, batch_size, lr, optimizer, seed and
-    max_steps, which `TrainConfig.validate` checks). The model is left in
+    max_steps, which `TrainConfig` checks when built). The model is left in
     training mode. Shuffle order comes from the (seed, "train/shuffle")
     substream, so a rerun with the same config reproduces the trajectory
     exactly. Each train_loss is the mean over the rows its epoch trained on.
@@ -190,7 +194,6 @@ def train(model, train_ds, test_ds, cfg):
     and the epoch and split of a non-finite loss in an epoch's row. epochs=0
     or max_steps=0 just evaluates the initialized model (one epoch-0 row).
     """
-    cfg.validate()
     fit = loss_fn, answers = _objective(model, train_ds, "the train dataset")
     test_fit = _objective(model, test_ds, "the test dataset")
     rng = Rng(cfg.seed, "train/shuffle")
@@ -300,10 +303,9 @@ def grad_check(trials=100, h=1e-40, seed=1234):
     subnormal i*h loses bits), or ``trials < 1``, raises ValueError: such a
     run measures nothing.
     """
-    if not np.finfo(float).tiny <= h < math.inf:
-        raise ValueError(f"h must be finite and >= {np.finfo(float).tiny}, got {h}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (isinstance(h, numbers.Real) and np.finfo(float).tiny <= h < math.inf):
+        raise ValueError(f"h must be finite and >= {np.finfo(float).tiny}, got {h!r}")
+    trials = check_int("trials", trials, 1)
     root = Rng(seed, "gradcheck")
     worst = 0.0
 
@@ -353,10 +355,8 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     draws. cfg's epochs and max_steps are replaced by `steps`. Returns the
     run record, the trained model and the test split.
     """
-    if test_n < 1:
-        raise ValueError(f"test_n must be >= 1, got {test_n}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_int("test_n", test_n, 1)
+    check_int("steps", steps, 0)
     rng = Rng(cfg.seed, stream)
     train_ds = sample_function(target, lo, hi, n, rng.substream("train"))
     test_ds = sample_function(target, lo, hi, test_n, rng.substream("test"))
@@ -366,14 +366,14 @@ def fit_function(cfg, stream, target, lo, hi, n, test_n, steps):
     return train(model, train_ds, test_ds, cfg), model, test_ds
 
 
+# an untrained MSE that overflows reads inf, and `train` then raises DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def fit_fractal(cfg, params):
     """Fit the fractal surface `params` describes, training and scoring on its
     whole grid; returns the untrained MSE, the record, the model and the grid."""
     ds = fractal_grid(params)
     model = cfg.build_model()
-    # epochs=0 runs train's data checks, then evaluates the untrained model
-    initial_mse = train(model, ds, ds, replace(cfg, epochs=0)).final_metric
-    return initial_mse, train(model, ds, ds, cfg), model, ds
+    return evaluate(model, ds, "regress"), train(model, ds, ds, cfg), model, ds
 
 
 def run_ablation(axis, base_cfg, train_raw, test_raw):

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import ndcore
-from .chebyshev import PolyKind, _fill_basis, check_kind
+from .chebyshev import PolyKind, _fill_basis
 
 
 class InitMethod(Enum):
@@ -86,15 +86,12 @@ class ChebyKanLayer:
     grad_coeffs = property(lambda self: self.grad_w.transpose(1, 2, 0))
 
     def __init__(self, input_dim, output_dim, degree, kind=PolyKind.FIRST, dtype=np.float64):
-        if input_dim < 1 or output_dim < 1:
-            raise ValueError(f"dims must be >= 1, got {input_dim}x{output_dim}")
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        self.input_dim = input_dim
-        self.output_dim = output_dim
-        self.degree = degree
-        self.kind = check_kind(kind)
-        self.w = np.zeros((degree + 1, input_dim, output_dim), dtype=ndcore.check_dtype(dtype))
+        self.input_dim = ndcore.check_int("input_dim", input_dim, 1)
+        self.output_dim = ndcore.check_int("output_dim", output_dim, 1)
+        self.degree = ndcore.check_int("degree", degree, 0)
+        self.kind = ndcore.check_type("kind", kind, PolyKind)
+        self.w = np.zeros((self.degree + 1, self.input_dim, self.output_dim),
+                          dtype=ndcore.check_dtype(dtype))
         self.grad_w = np.zeros_like(self.w)
         self.training = True
         self._cache = None
@@ -192,10 +189,8 @@ class LayerNorm:
     eps = 1e-5
 
     def __init__(self, dim, dtype=np.float64):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self.gamma = np.ones(dim, dtype=ndcore.check_dtype(dtype))
+        self.dim = ndcore.check_int("dim", dim, 1)
+        self.gamma = np.ones(self.dim, dtype=ndcore.check_dtype(dtype))
         self.beta = np.zeros_like(self.gamma)
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)

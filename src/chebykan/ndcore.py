@@ -1,4 +1,4 @@
-"""Dense numerics substrate: a shape-checking coercion, a seeded RNG, the
+"""Dense numerics substrate: shape and setting checks, a seeded RNG, the
 KAN layer's matrix-product rule and the process's worker threads.
 
 Arrays are plain numpy ndarrays (row-major, real dtype); the helpers here pin
@@ -24,6 +24,7 @@ write only a block's own rows, so how many workers run (at most
 """
 
 import hashlib
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -47,11 +48,32 @@ def as_mat(x, dtype=np.float64, shape=(None, None)):
     return a
 
 
+def check_int(name, value, low):
+    """``value`` as an int (``operator.index``), or ValueError naming ``name``
+    unless it is an integer, not a bool, of at least ``low``."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # a float, a string, None, a float array, ...
+        index = None
+    if index is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if index < low:
+        raise ValueError(f"{name} must be >= {low}, got {index}")
+    return index
+
+
+def check_type(name, value, kind):
+    """``value``, or ValueError naming ``name`` unless it is a ``kind``. Code
+    tests an enum member by identity, so its value ("second") is no member."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def check_seed(seed):
     """``seed`` as an int, or ValueError unless it is an integer in
     [0, 2**64): two seeds must never key the same generator."""
-    value = int(seed)
-    if value != seed or not 0 <= value < 1 << 64:
+    if (value := check_int("seed", seed, 0)) >= 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return value
 

@@ -13,41 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import PolyKind, check_kind
+from .chebyshev import PolyKind
 from .layers import ChebyKanLayer, LayerNorm, init_coeffs
+from .ndcore import check_int, check_type
 
 MNIST_WIDTHS = [784, 32, 16, 10]
 
 _HEADER_TAG = "chebykan-v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchSpec:
-    """Widths plus shared degree/kind and LayerNorm placement for a KAN stack."""
+    """Widths plus shared degree/kind and LayerNorm placement for a KAN stack,
+    each checked when built, with a ValueError naming it: a list or tuple of
+    2 or more integer widths >= 1 (held as a tuple), an integer degree >= 0."""
 
-    widths: list
+    widths: tuple
     degree: int
     kind: PolyKind = PolyKind.FIRST
     layernorm_between: bool = True
 
-    def validate(self):
-        if len(self.widths) < 2:
-            raise ValueError(f"need at least 2 widths, got {self.widths}")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"all widths must be >= 1, got {self.widths}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        check_kind(self.kind)
+    def __post_init__(self):
+        if not isinstance(self.widths, (list, tuple)) or len(self.widths) < 2:
+            raise ValueError(f"need at least 2 widths, got {self.widths!r}")
+        object.__setattr__(self, "widths", tuple(check_int("widths", w, 1) for w in self.widths))
+        object.__setattr__(self, "degree", check_int("degree", self.degree, 0))
+        check_type("kind", self.kind, PolyKind)
+        check_type("layernorm_between", self.layernorm_between, bool)
 
     def arch_string(self):
-        w = ",".join(str(int(v)) for v in self.widths)
+        w = ",".join(map(str, self.widths))
         ln = 1 if self.layernorm_between else 0
         return f"widths={w};degree={self.degree};kind={self.kind.value};ln={ln}"
 
 
 def param_count(spec):
     """Trainable parameters of the network `build` would produce for this spec."""
-    spec.validate()
     w = spec.widths
     kan = sum(a * b for a, b in zip(w[:-1], w[1:])) * (spec.degree + 1)
     ln = 2 * sum(w[1:-1]) if spec.layernorm_between else 0
@@ -107,7 +108,6 @@ class Sequential:
 def _layers(spec, dtype=np.float64):
     """The zeroed layers spec describes, in order: a LayerNorm follows each
     KAN layer except the last."""
-    spec.validate()
     w, n_pairs = spec.widths, len(spec.widths) - 1
     layers = []
     for k in range(n_pairs):
@@ -183,7 +183,6 @@ def load_network(path):
         widths, degree, kind, ln = (f.partition("=")[2] for f in arch.split(";"))
         spec = ArchSpec([int(w) for w in widths.split(",")], int(degree), PolyKind(kind),
                         bool(int(ln)))
-        spec.validate()
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{path}: unreadable header {header[:100]!r}: {exc}") from None
     if header != _header(spec):

@@ -7,6 +7,7 @@ of the same shape; its state arrays are allocated on the first step.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -66,8 +67,8 @@ class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr=1e-3):
-        if not 0 < lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {lr}")
+        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
         self.lr = lr
         self.t = 0
         self.m = None

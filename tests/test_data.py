@@ -237,6 +237,18 @@ def test_norm_stats_fitted_on_another_width_raise_naming_both():
             apply_norm(Dataset(features=np.zeros((3, width))), scheme, stats=stats)
 
 
+def test_norm_stats_cannot_be_fitted_on_an_empty_split():
+    empty = Dataset(features=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64))
+    full = Dataset(features=Rng(0, "e").uniform(-1.0, 1.0, (4, 3)))
+    for scheme in (NormScheme.MINMAX, NormScheme.STANDARDIZE):
+        with pytest.raises(ValueError, match=f"{scheme.value} stats .* empty split"):
+            apply_norm(empty, scheme)
+        # given stats still map an empty split onto an empty split
+        out = apply_norm(empty, scheme, stats=apply_norm(full, scheme).norm)
+        assert out.features.shape == (0, 3) and out.labels.shape == (0,)
+    assert apply_norm(empty, NormScheme.TANH).features.shape == (0, 3)
+
+
 def test_standardize_and_tanh():
     feats = Rng(0, "n").normal(5.0, 3.0, (200, 4))
     ds = apply_norm(Dataset(features=feats), NormScheme.STANDARDIZE)

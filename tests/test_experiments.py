@@ -224,14 +224,13 @@ def test_widths_that_do_not_fit_the_data_raise_before_any_step():
             train(model, train_ds, train_ds, _small_cfg())
         np.testing.assert_array_equal(model.flat_params, before)
     # a model that fits trains under the default cfg, whose widths are MNIST's,
-    # and under cfg architecture fields no model could have, since train
-    # reads only the cfg's schedule
+    # since train reads only the cfg's schedule; a cfg whose architecture
+    # fields no model could have is rejected when it is built
     record = train(_small_cfg().build_model(), ds, ds, TrainConfig(epochs=1))
     assert [r.epoch for r in record.rows] == [1]
-    model = _small_cfg(widths=[1, 4, 1]).build_model()
-    for arch in (dict(degree=-1), dict(widths=[5, 0])):
-        record = train(model, ds, ds, TrainConfig(epochs=1, batch_size=32, **arch))
-        assert [r.epoch for r in record.rows] == [1], arch
+    for field, arch in (("degree", dict(degree=-1)), ("widths", dict(widths=[5, 0]))):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(epochs=1, batch_size=32, **arch)
 
 
 def test_divergence_raises_with_location():
@@ -243,27 +242,27 @@ def test_divergence_raises_with_location():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        _small_cfg(epochs=-1).validate()
+        _small_cfg(epochs=-1)
     with pytest.raises(ValueError):
-        _small_cfg(batch_size=0).validate()
+        _small_cfg(batch_size=0)
     for name in ("lbfgs", "sgd"):  # Adam is the one optimizer
         with pytest.raises(ValueError, match=f"optimizer must be 'adam', got '{name}'"):
-            _small_cfg(optimizer=name).validate()
+            _small_cfg(optimizer=name)
     # the optimizer's name is checked before the optimizer checks lr
     with pytest.raises(ValueError, match="optimizer must be"):
-        _small_cfg(optimizer="lbfgs", lr=0.0).validate()
+        _small_cfg(optimizer="lbfgs", lr=0.0)
     with pytest.raises(ValueError):
-        _small_cfg(max_steps=-1).validate()
+        _small_cfg(max_steps=-1)
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
-            _small_cfg(lr=lr).validate()
+            _small_cfg(lr=lr)
     with pytest.raises(TypeError):  # Adam's other settings are constants
         _small_cfg(momentum=0.5)
-    # the architecture fields are checked by the spec a model is built from
+    # the architecture fields are checked by the spec the config builds
     with pytest.raises(ValueError, match="degree"):
-        _small_cfg(degree=-1).arch().validate()
+        _small_cfg(degree=-1)
     with pytest.raises(ValueError, match="widths"):
-        _small_cfg(widths=[1, 0, 1]).arch().validate()
+        _small_cfg(widths=[1, 0, 1])
 
 
 def test_evaluate_constant_classifier_on_balanced_set():

@@ -11,9 +11,11 @@ fuzzed checkpoints and IDX files to the loaders, which must reject each one
 with their documented error, and hostile config values to the CLI, which
 must end each run in a documented exit code, and malformed splits to
 `train` and `evaluate`, which must reject each one with a ValueError naming
-the field or `widths`.
+the field or `widths`, and malformed settings to every constructor and
+function that takes one, which must reject each with a ValueError naming it.
 """
 
+import dataclasses
 import re
 import shutil
 
@@ -21,15 +23,16 @@ import numpy as np
 import pytest
 
 from chebykan import cli
-from chebykan.chebyshev import PolyKind, eval_basis, eval_basis_derivative
-from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_LABELS, Dataset,
-                           IdxFormatError, idx_header_bytes, load_mnist_idx,
-                           write_idx)
+from chebykan.chebyshev import (PolyKind, eval_basis, eval_basis_derivative, extrema,
+                                gauss_chebyshev, orthogonality_integral, roots)
+from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_IMAGES, TRAIN_LABELS, Dataset,
+                           FractalParams, IdxFormatError, idx_header_bytes, load_mnist,
+                           load_mnist_idx, sample_function, write_idx)
 from chebykan.experiments import (TrainConfig, _directional_check, _unit_directions,
-                                  evaluate, train)
-from chebykan.layers import InitMethod
+                                  evaluate, fit_function, grad_check, train)
+from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm
 from chebykan.ndcore import Rng
-from chebykan.network import ArchSpec, build, load_network, save_network
+from chebykan.network import ArchSpec, build, load_network, param_count, save_network
 
 KINDS = (PolyKind.FIRST, PolyKind.SECOND)
 H = 1e-6
@@ -275,3 +278,96 @@ def test_malformed_splits_raise_value_error_naming_the_field():
                 with pytest.raises(ValueError, match=rf"\b{field}\b"):
                     call()
             np.testing.assert_array_equal(model.flat_params, before)
+
+
+def _settings(mnist_dir):
+    """(call, defaults, fields) per constructor or function that takes
+    settings: call(**defaults) runs, and `fields` maps each checked setting
+    to the kind of value it takes: "int", "count" (an int or None), "real",
+    "bool", "enum" or "list" (a list of widths)."""
+    cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2, widths=[1, 3, 1])
+    images, labels = mnist_dir / TRAIN_IMAGES, mnist_dir / TRAIN_LABELS
+    return [
+        (ChebyKanLayer, dict(input_dim=2, output_dim=3, degree=2),
+         dict(input_dim="int", output_dim="int", degree="int", kind="enum")),
+        (LayerNorm, dict(dim=3), dict(dim="int")),
+        (ArchSpec, dict(widths=[2, 3], degree=2),
+         dict(widths="list", degree="int", kind="enum", layernorm_between="bool")),
+        (lambda widths, **kw: param_count(ArchSpec([widths, 3], **kw)),
+         dict(widths=2, degree=2), dict(widths="int", degree="int")),
+        (lambda widths, **kw: TrainConfig(widths=[1, widths, 1], **kw), dict(widths=3),
+         dict(epochs="int", batch_size="int", max_steps="count", lr="real", seed="int",
+              degree="int", widths="int", kind="enum", init="enum", norm="enum",
+              f32="bool", layernorm="bool")),
+        (TrainConfig, dict(), dict(widths="list")),
+        (grad_check, dict(trials=1), dict(trials="int", h="real", seed="int")),
+        (lambda **kw: fit_function(cfg, "fuzz", "sin_plus_sq", **kw),
+         dict(lo=-1.0, hi=1.0, n=8, test_n=4, steps=1),
+         dict(lo="real", hi="real", n="int", test_n="int", steps="int")),
+        (lambda **kw: sample_function("step", rng=Rng(0, "fuzz"), **kw),
+         dict(lo=-1.0, hi=1.0, n=8), dict(lo="real", hi="real", n="int")),
+        (lambda subset: load_mnist_idx(images, labels, subset), dict(subset=2),
+         dict(subset="count")),
+        (lambda subset: load_mnist(mnist_dir, subset), dict(subset=2), dict(subset="count")),
+        (FractalParams, dict(),
+         dict(alpha="real", b="real", extent="real", iters="int", grid="int", seed="int")),
+        (eval_basis, dict(x=0.5, degree=3), dict(degree="int", kind="enum")),
+        (roots, dict(n=3), dict(n="int")),
+        (extrema, dict(n=3), dict(n="int")),
+        (gauss_chebyshev, dict(nodes=3), dict(nodes="int", kind="enum")),
+        (orthogonality_integral, dict(m=1, n=2),
+         dict(m="int", n="int", kind="enum", nodes="int")),
+    ]
+
+
+def _bad_values(kind, r):
+    """Values no setting of `kind` takes: those of 2.5, "3", None, 1j and
+    np.float64(2.0) it rejects, and more of the same kinds drawn from `r`."""
+    k, x = r.integers(1, 9), float(r.uniform(-2.0, 2.0, ()))
+    if kind == "real":
+        return ["3", None, 1j, str(x), complex(x, k), [x]]
+    if kind == "list":
+        return ["23", None, k, x, [k], (), [k, k + 0.5], [k, str(k)], [k, None]]
+    values = [2.5, "3", None, 1j, np.float64(2.0), k + 0.5, str(k), complex(k), np.float64(k)]
+    if kind == "count":  # None means no cap
+        values.remove(None)
+    return values + (["false", "no"] if kind in ("bool", "enum") else [True])
+
+
+def test_malformed_settings_raise_value_error_naming_the_field(synth_mnist_dir):
+    """Every constructor or function that takes a setting rejects a value of
+    the wrong type, or below its floor, with a ValueError naming it."""
+    root = Rng(37, "fuzz/settings")
+    for i, (call, defaults, fields) in enumerate(_settings(synth_mnist_dir)):
+        call(**defaults)  # so each failure below is the malformed setting's
+        for draw in range(3):
+            r = root.substream(f"{i}/{draw}")
+            for name, kind in fields.items():
+                for value in _bad_values(kind, r):
+                    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                        call(**{**defaults, name: value})
+    for call, bad in ((lambda v: ChebyKanLayer(2, 3, v), -1), (roots, 0),
+                      (lambda v: TrainConfig(epochs=v), -1), (LayerNorm, 0)):
+        with pytest.raises(ValueError, match=f"must be >= {bad + 1}, got {bad}$"):
+            call(bad)
+
+
+def test_settings_are_frozen_and_take_numpy_integers():
+    """numpy integers are integers: a config of them builds and trains the
+    same bits as one of Python ints, and holds its spec's widths and degree
+    as Python ints. A built config cannot be changed, only replaced."""
+    ints = dict(epochs=2, batch_size=4, max_steps=3, seed=5, degree=3)
+    cfgs = [TrainConfig(widths=widths, lr=1e-2, **{k: cast(v) for k, v in ints.items()})
+            for widths, cast in (([1, 4, 1], int), (list(np.array([1, 4, 1])), np.int64))]
+    assert cfgs[0].arch() == cfgs[1].arch()
+    assert all(type(v) is int for v in (*cfgs[1].arch().widths, cfgs[1].arch().degree))
+    ds = sample_function("sin_plus_sq", -1.0, 1.0, 16, Rng(0, "np-ints"))
+    models = [cfg.build_model() for cfg in cfgs]
+    records = [train(m, ds, ds, cfg) for m, cfg in zip(models, cfgs)]
+    assert models[0].flat_params.tobytes() == models[1].flat_params.tobytes()
+    assert records[0].rows == records[1].rows
+    assert type(ChebyKanLayer(np.int64(2), np.uint8(3), np.int32(1)).degree) is int
+    for built, name, value in ((cfgs[1], "epochs", 3), (cfgs[1].arch(), "degree", 2),
+                               (FractalParams(), "grid", 8)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, value)
