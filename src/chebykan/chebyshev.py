@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ndcore import check_int, check_type
+from .ndcore import check_int, check_real, check_type
 
 
 class PolyKind(Enum):
@@ -56,11 +56,9 @@ def _fill_basis(t, kind):
 
 
 def eval_basis(x, degree, kind=PolyKind.FIRST):
-    """[P_0(x), ..., P_degree(x)] for a scalar x, by the three-term recurrence."""
+    """[P_0(x), ..., P_degree(x)] for a finite real x (``check_real``), by the recurrence."""
     degree = check_int("degree", degree, 0)
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return _basis_stack([float(x)], degree, check_type("kind", kind, PolyKind))[:, 0]
+    return _basis_stack([check_real("x", x)], degree, check_type("kind", kind, PolyKind))[:, 0]
 
 
 def eval_basis_derivative(x, degree, kind=PolyKind.FIRST):

@@ -8,7 +8,6 @@ selectable normalization schemes, so the schemes compete on equal footing.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ndcore
-from .ndcore import Rng, check_int, check_seed
+from .ndcore import Rng, check_int, check_real, check_seed, check_type
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -266,15 +265,14 @@ TARGETS = {
 
 
 def sample_function(target, lo, hi, n, rng):
-    """n uniform samples of a named 1-D target function on [lo, hi]."""
+    """n uniform samples of a named 1-D target on [lo, hi], finite reals (``check_real``)."""
     n = check_int("n", n, 1)
-    if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in (lo, hi)):
-        raise ValueError(f"lo and hi must be finite, got [{lo!r}, {hi!r}]")
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not math.isfinite(float(hi) - float(lo)):  # Python floats overflow without a warning
+    if not math.isfinite(hi - lo):  # Python floats overflow without a warning
         raise ValueError(f"hi - lo must be finite, got [{lo}, {hi}]")
-    if target not in TARGETS:
+    if check_type("target", target, str) not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {sorted(TARGETS)}")
     x = rng.uniform(lo, hi, (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the cause
@@ -288,7 +286,7 @@ def sample_function(target, lo, hi, n, rng):
 class FractalParams:
     """Noisy radial surface: iterated additive noise on a smooth seed, each
     field checked when built, with a ValueError naming it: alpha, b and extent
-    finite reals, extent > 0, integers iters >= 0 and grid >= 2, and a seed."""
+    finite reals (``check_real``), extent > 0, integers iters >= 0 and grid >= 2, and a seed."""
 
     alpha: float = 0.7
     b: float = 0.001
@@ -298,14 +296,11 @@ class FractalParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "b", "extent"):
-            if not (isinstance(value := getattr(self, name), numbers.Real) and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, above in (("alpha", -math.inf), ("b", -math.inf), ("extent", 0)):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above))
         check_int("iters", self.iters, 0)
         check_int("grid", self.grid, 2)
         check_seed(self.seed)
-        if self.extent <= 0:
-            raise ValueError(f"extent must be > 0, got {self.extent}")
 
 
 def fractal_seed(x, y):

@@ -2,16 +2,15 @@
 
 Runs are deterministic for a fixed seed: shuffle order, initialization, and
 the fractal/function data all come from named substreams of the run seed.
-CSV schemas (exact headers): per-epoch runs use
-``epoch,train_loss,test_loss,metric``; ablations use
-``axis_value,test_accuracy,test_loss,param_count,wall_time_s``. This module
-formats those CSVs as lines and writes no file.
+A CSV's header is the field names of its row dataclass, in order: per-epoch
+runs use `EpochRow`'s (``epoch,train_loss,test_loss,metric``), ablations
+`AblationRow`'s (``axis_value,test_accuracy,test_loss,param_count,wall_time_s``).
+This module formats those CSVs as lines and writes no file.
 """
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,12 +18,9 @@ from . import network
 from .chebyshev import PolyKind, _basis_stack
 from .data import NormScheme, apply_norm, fractal_grid, sample_function
 from .layers import ChebyKanLayer, InitMethod, LayerNorm
-from .ndcore import Rng, check_int, check_seed, check_type
+from .ndcore import Rng, check_int, check_real, check_seed, check_type
 from .network import ArchSpec, build
 from .optim import Adam, mse_loss, softmax_cross_entropy
-
-RUN_CSV_HEADER = "epoch,train_loss,test_loss,metric"
-ABLATION_CSV_HEADER = "axis_value,test_accuracy,test_loss,param_count,wall_time_s"
 
 # each ablation axis names the TrainConfig field it sweeps
 ABLATION_SWEEPS = {
@@ -52,8 +48,8 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """A run's settings, each checked when built, with a ValueError naming it
-    (the architecture fields by the spec `arch()` builds). `train` reads the
-    schedule: epochs, batch_size, lr, optimizer, seed and max_steps."""
+    (the architecture by the spec `arch()` builds, lr by ``check_real``, as a float).
+    `train` reads the schedule: epochs, batch_size, lr, optimizer, seed and max_steps."""
 
     epochs: int = 10
     batch_size: int = 64
@@ -76,15 +72,11 @@ class TrainConfig:
             check_int("max_steps", self.max_steps, 0)
         if self.optimizer != "adam":
             raise ValueError(f"optimizer must be 'adam', got {self.optimizer!r}")
-        self.make_optimizer()  # its constructor checks lr
+        object.__setattr__(self, "lr", check_real("lr", self.lr, above=0))
         check_seed(self.seed)
         for name, kind in dict(init=InitMethod, norm=NormScheme, f32=bool, layernorm=bool).items():
             check_type(name, getattr(self, name), kind)
         self.arch()  # checks widths, degree and kind
-
-    def make_optimizer(self):
-        """A fresh optimizer of this schedule, the one `train` steps with."""
-        return Adam(self.lr)
 
     def build_model(self):
         """A fresh model of this spec and precision, init from the (seed, "init") substream."""
@@ -109,17 +101,22 @@ class EpochRow:
                 raise DivergenceError(f"non-finite {split} loss at the end of epoch {self.epoch}")
 
 
+def _csv_lines(row_type, rows):
+    """`row_type`'s field names, then one line per row: strings as they are, numbers by repr."""
+    return [",".join(f.name for f in fields(row_type))] + [
+        ",".join(v if isinstance(v, str) else repr(v) for v in astuple(r)) for r in rows]
+
+
 @dataclass
 class RunRecord:
     rows: list
-    final_metric: float
     wall_time_s: float
+
+    final_metric = property(lambda self: self.rows[-1].metric)
 
     def csv_lines(self):
         """The per-epoch CSV, then the wall time as a trailing comment."""
-        return ([RUN_CSV_HEADER]
-                + [f"{r.epoch},{r.train_loss!r},{r.test_loss!r},{r.metric!r}" for r in self.rows]
-                + [f"# wall_time_s = {self.wall_time_s!r}"])
+        return _csv_lines(EpochRow, self.rows) + [f"# wall_time_s = {self.wall_time_s!r}"]
 
 
 def _objective(model, ds, name="the dataset"):
@@ -197,7 +194,7 @@ def train(model, train_ds, test_ds, cfg):
     fit = loss_fn, answers = _objective(model, train_ds, "the train dataset")
     test_fit = _objective(model, test_ds, "the test dataset")
     rng = Rng(cfg.seed, "train/shuffle")
-    opt = cfg.make_optimizer()
+    opt = Adam(cfg.lr)
     t0 = time.perf_counter()
     rows = []
     n = len(train_ds)
@@ -226,7 +223,7 @@ def train(model, train_ds, test_ds, cfg):
         test_loss, metric = _loss_and_metric(model, test_ds, test_fit)
         rows.append(EpochRow(0, train_loss, test_loss, metric))
     wall = time.perf_counter() - t0
-    return RunRecord(rows=rows, final_metric=rows[-1].metric, wall_time_s=wall)
+    return RunRecord(rows=rows, wall_time_s=wall)
 
 
 def _einsum_forward(model, x, params):
@@ -299,11 +296,11 @@ def grad_check(trials=100, h=1e-40, seed=1234):
     weighted sum-of-squares loss at every parameter and input coordinate.
     At degree 0 the output ignores the input, so any nonzero analytic input
     gradient fails. A non-finite error makes the result non-finite, and an
-    ``h`` that is not finite or is below the smallest normal float (a
-    subnormal i*h loses bits), or ``trials < 1``, raises ValueError: such a
-    run measures nothing.
+    ``h`` that is not a finite real (``ndcore.check_real``) or is below the
+    smallest normal float (a subnormal i*h loses bits), or ``trials < 1``,
+    raises ValueError: such a run measures nothing.
     """
-    if not (isinstance(h, numbers.Real) and np.finfo(float).tiny <= h < math.inf):
+    if (h := check_real("h", h)) < np.finfo(float).tiny:
         raise ValueError(f"h must be finite and >= {np.finfo(float).tiny}, got {h!r}")
     trials = check_int("trials", trials, 1)
     root = Rng(seed, "gradcheck")
@@ -387,7 +384,7 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
     network.param_count on the swept spec.
     """
     rows = []
-    if axis not in ABLATION_SWEEPS:
+    if check_type("axis", axis, str) not in ABLATION_SWEEPS:
         raise ValueError(f"unknown ablation axis {axis!r}; "
                          "choose init, degree, norm, or kind")
     for value in ABLATION_SWEEPS[axis]:
@@ -411,6 +408,4 @@ def run_ablation(axis, base_cfg, train_raw, test_raw):
 
 def ablation_csv_lines(rows):
     """The ablation CSV, one line per swept value in sweep order."""
-    return [ABLATION_CSV_HEADER] + [
-        f"{r.axis_value},{r.test_accuracy!r},{r.test_loss!r},{r.param_count},{r.wall_time_s!r}"
-        for r in rows]
+    return _csv_lines(AblationRow, rows)

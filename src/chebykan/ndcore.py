@@ -24,6 +24,8 @@ write only a block's own rows, so how many workers run (at most
 """
 
 import hashlib
+import math
+import numbers
 import operator
 import os
 from collections import deque
@@ -60,6 +62,19 @@ def check_int(name, value, low):
     if index < low:
         raise ValueError(f"{name} must be >= {low}, got {index}")
     return index
+
+
+def check_real(name, value, above=-math.inf):
+    """``value`` as a float, or ValueError naming ``name`` unless it is a real
+    number, not a bool, whose float is finite and > ``above``."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        real = math.nan
+    if isinstance(value, bool) or not above < real < math.inf:
+        bound = "" if above == -math.inf else f" and > {above}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return real
 
 
 def check_type(name, value, kind):

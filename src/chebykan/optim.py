@@ -7,11 +7,10 @@ of the same shape; its state arrays are allocated on the first step.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .ndcore import ShapeError
+from .ndcore import ShapeError, check_real
 
 
 def mse_loss(pred, target):
@@ -60,16 +59,15 @@ class Adam:
     fold into two scalars (Kingma & Ba, ICLR 2015, section 2), and a step
     makes ten passes over the parameters. It equals the textbook arithmetic
     up to rounding, not bit for bit. A step allocates nothing: the moments
-    and one scratch array are made on the first step and reused. ``lr`` is
-    the one setting; the betas and eps are constants, Kingma & Ba's defaults.
+    and one scratch array are made on the first step and reused. ``lr``, the
+    one setting, is a finite real > 0, held as a float (``ndcore.check_real``);
+    the betas and eps are constants, Kingma & Ba's defaults.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr=1e-3):
-        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
-            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
-        self.lr = lr
+        self.lr = check_real("lr", lr, above=0)
         self.t = 0
         self.m = None
         self.v = None

@@ -6,8 +6,7 @@ import pytest
 from chebykan import experiments
 from chebykan.chebyshev import PolyKind
 from chebykan.data import Dataset, NormScheme, load_mnist_idx, sample_function
-from chebykan.experiments import (ABLATION_CSV_HEADER, RUN_CSV_HEADER,
-                                  AblationRow, DivergenceError, EpochRow, RunRecord,
+from chebykan.experiments import (AblationRow, DivergenceError, EpochRow, RunRecord,
                                   TrainConfig, ablation_csv_lines, evaluate,
                                   grad_check, run_ablation, train)
 from chebykan.layers import ChebyKanLayer, InitMethod
@@ -407,7 +406,7 @@ def test_run_csv_format():
     cfg = _small_cfg(epochs=2)
     record = train(cfg.build_model(), _toy_regression(), _toy_regression(seed=1), cfg)
     lines = record.csv_lines()
-    assert lines[0] == RUN_CSV_HEADER
+    assert lines[0] == "epoch,train_loss,test_loss,metric"
     assert lines[-1].startswith("# wall_time_s")
     first = lines[1].split(",")
     assert first[0] == "1"
@@ -445,7 +444,7 @@ def test_ablation_kind_axis_reports_function_mse(synth_mnist_dir):
 
 
 def test_ablation_kind_axis_hands_its_precision_to_the_function_fit(monkeypatch):
-    record = RunRecord([EpochRow(1, 0.5, 0.5, 0.5)], 0.5, 0.0)
+    record = RunRecord([EpochRow(1, 0.5, 0.5, 0.5)], 0.0)
     seen = []
 
     def fit_function(cfg, stream, **recipe):
@@ -468,7 +467,8 @@ def test_ablation_rejects_unknown_axis():
 
 def test_ablation_csv_schema():
     lines = ablation_csv_lines([AblationRow("xavier", 0.5, 1.25, 10, 0.125)])
-    assert lines == [ABLATION_CSV_HEADER, "xavier,0.5,1.25,10,0.125"]
+    assert lines == ["axis_value,test_accuracy,test_loss,param_count,wall_time_s",
+                     "xavier,0.5,1.25,10,0.125"]
 
 
 def test_norm_schemes_all_train(synth_mnist_dir):

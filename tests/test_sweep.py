@@ -26,10 +26,10 @@ from chebykan import cli
 from chebykan.chebyshev import (PolyKind, eval_basis, eval_basis_derivative, extrema,
                                 gauss_chebyshev, orthogonality_integral, roots)
 from chebykan.data import (IMAGES_MAGIC, LABELS_MAGIC, TRAIN_IMAGES, TRAIN_LABELS, Dataset,
-                           FractalParams, IdxFormatError, idx_header_bytes, load_mnist,
-                           load_mnist_idx, sample_function, write_idx)
+                           FractalParams, IdxFormatError, fractal_grid, idx_header_bytes,
+                           load_mnist, load_mnist_idx, sample_function, write_idx)
 from chebykan.experiments import (TrainConfig, _directional_check, _unit_directions,
-                                  evaluate, fit_function, grad_check, train)
+                                  evaluate, fit_function, grad_check, run_ablation, train)
 from chebykan.layers import ChebyKanLayer, InitMethod, LayerNorm
 from chebykan.ndcore import Rng
 from chebykan.network import ArchSpec, build, load_network, param_count, save_network
@@ -284,9 +284,11 @@ def _settings(mnist_dir):
     """(call, defaults, fields) per constructor or function that takes
     settings: call(**defaults) runs, and `fields` maps each checked setting
     to the kind of value it takes: "int", "count" (an int or None), "real",
-    "bool", "enum" or "list" (a list of widths)."""
+    "bool", "enum", "list" (a list of widths) or "name" (a str key)."""
     cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2, widths=[1, 3, 1])
     images, labels = mnist_dir / TRAIN_IMAGES, mnist_dir / TRAIN_LABELS
+    digits = load_mnist_idx(images, labels)
+    untrained = dataclasses.replace(cfg, epochs=0, widths=[784, 3, 10])
     return [
         (ChebyKanLayer, dict(input_dim=2, output_dim=3, degree=2),
          dict(input_dim="int", output_dim="int", degree="int", kind="enum")),
@@ -304,14 +306,17 @@ def _settings(mnist_dir):
         (lambda **kw: fit_function(cfg, "fuzz", "sin_plus_sq", **kw),
          dict(lo=-1.0, hi=1.0, n=8, test_n=4, steps=1),
          dict(lo="real", hi="real", n="int", test_n="int", steps="int")),
-        (lambda **kw: sample_function("step", rng=Rng(0, "fuzz"), **kw),
-         dict(lo=-1.0, hi=1.0, n=8), dict(lo="real", hi="real", n="int")),
+        (lambda **kw: sample_function(rng=Rng(0, "fuzz"), **kw),
+         dict(target="step", lo=-1.0, hi=1.0, n=8),
+         dict(target="name", lo="real", hi="real", n="int")),
+        (lambda axis: run_ablation(axis, untrained, digits, digits), dict(axis="degree"),
+         dict(axis="name")),
         (lambda subset: load_mnist_idx(images, labels, subset), dict(subset=2),
          dict(subset="count")),
         (lambda subset: load_mnist(mnist_dir, subset), dict(subset=2), dict(subset="count")),
         (FractalParams, dict(),
          dict(alpha="real", b="real", extent="real", iters="int", grid="int", seed="int")),
-        (eval_basis, dict(x=0.5, degree=3), dict(degree="int", kind="enum")),
+        (eval_basis, dict(x=0.5, degree=3), dict(x="real", degree="int", kind="enum")),
         (roots, dict(n=3), dict(n="int")),
         (extrema, dict(n=3), dict(n="int")),
         (gauss_chebyshev, dict(nodes=3), dict(nodes="int", kind="enum")),
@@ -322,10 +327,14 @@ def _settings(mnist_dir):
 
 def _bad_values(kind, r):
     """Values no setting of `kind` takes: those of 2.5, "3", None, 1j and
-    np.float64(2.0) it rejects, and more of the same kinds drawn from `r`."""
+    np.float64(2.0) it rejects, and more of the same kinds drawn from `r`.
+    A real rejects bools and ints beyond the float range, a name any value
+    that is not one of its str keys, unhashable ones too."""
     k, x = r.integers(1, 9), float(r.uniform(-2.0, 2.0, ()))
     if kind == "real":
-        return ["3", None, 1j, str(x), complex(x, k), [x]]
+        return ["3", None, 1j, str(x), complex(x, k), [x], 10**400, -10**400, True]
+    if kind == "name":
+        return ["", str(k), None, k, x, [str(k)], {str(k): k}]
     if kind == "list":
         return ["23", None, k, x, [k], (), [k, k + 0.5], [k, str(k)], [k, None]]
     values = [2.5, "3", None, 1j, np.float64(2.0), k + 0.5, str(k), complex(k), np.float64(k)]
@@ -371,3 +380,27 @@ def test_settings_are_frozen_and_take_numpy_integers():
                                (FractalParams(), "grid", 8)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(built, name, value)
+
+
+def test_settings_take_numpy_reals_as_floats():
+    """numpy floats are reals: a config or surface of np.float64 or
+    np.float32 reals holds float() of each, and builds and trains the same
+    bits as one of those Python floats."""
+    ds = sample_function("sin_plus_sq", -1.0, 1.0, 16, Rng(0, "np-reals"))
+    for cast in (np.float64, np.float32):
+        lr, alpha, b, extent = cast(1e-2), cast(0.7), cast(0.3), cast(1.5)
+        cfgs = [TrainConfig(widths=[1, 4, 1], epochs=2, batch_size=4, lr=v)
+                for v in (lr, float(lr))]
+        assert type(cfgs[0].lr) is float and cfgs[0] == cfgs[1]
+        models = [cfg.build_model() for cfg in cfgs]
+        records = [train(m, ds, ds, cfg) for m, cfg in zip(models, cfgs)]
+        assert models[0].flat_params.tobytes() == models[1].flat_params.tobytes()
+        assert records[0].rows == records[1].rows
+        surfaces = [FractalParams(alpha=a, b=c, extent=e, grid=8)
+                    for a, c, e in ((alpha, b, extent), (float(alpha), float(b), float(extent)))]
+        assert all(type(getattr(surfaces[0], n)) is float for n in ("alpha", "b", "extent"))
+        grids = [fractal_grid(p) for p in surfaces]
+        assert grids[0].targets.tobytes() == grids[1].targets.tobytes()
+        samples = [sample_function("step", lo, hi, 8, Rng(1, "np-reals"))
+                   for lo, hi in ((-extent, alpha), (float(-extent), float(alpha)))]
+        assert samples[0].features.tobytes() == samples[1].features.tobytes()
